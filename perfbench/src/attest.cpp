@@ -21,9 +21,6 @@ using namespace eilid;
 
 namespace {
 
-// Share of the timed phase given to the ops scenario, interleaved with
-// the workload's own rounds so both sample the whole run.
-constexpr double kOpsShare = 0.2;
 constexpr size_t kDevices = 1024;
 constexpr size_t kOpsDevices = 256;
 constexpr size_t kCfaIndex = 2;  // kCfaBaseline in kPolicies
@@ -127,8 +124,6 @@ void run_attest(Run& run) {
       outcomes = apps::run_workload_all(items, pool);
     });
     uint64_t insns = 0;
-    size_t resident = 0;
-    size_t most = 0;
     for (size_t i = 0; i < devices; ++i) {
       DeviceSession& dev = *items[i].session;
       const Work w =
@@ -143,15 +138,10 @@ void run_attest(Run& run) {
       }
       add_work(c, EnforcementPolicy::kCfaBaseline, w);
       insns += w.insns;
-      resident += dev.resident_memory_bytes();
-      most = std::max(most, dev.resident_memory_bytes());
     }
     add_sample(run, "exec_mips", 1e-6 * static_cast<double>(insns) / sim_s,
                sim_s);
-    run.series["resident_bytes_mean"].push_back(
-        static_cast<double>(resident) / static_cast<double>(devices));
-    run.values["resident_bytes_max"] =
-        std::max(run.values["resident_bytes_max"], static_cast<double>(most));
+    record_resident(run, "", fleet->sessions());
 
     // The traced run alternates serial sweeps in over identical evidence
     // (every round replays the same runs) for pool.sweep_speedup.
@@ -177,25 +167,12 @@ void run_attest(Run& run) {
     for (size_t i : hostile) expect.insert(device_id(i));
     run.gates.check(convicted == expect,
                     "convicted set differs from the hostile set");
-    if (run.round_digests.empty()) {
-      run.first_round = c;
-    } else {
-      run.gates.check(c == run.first_round,
-                      "round " + std::to_string(r) + " differs from round 0 (" +
-                          c.first_difference(run.first_round) + ")");
-    }
-    run.totals.merge(c);
-    run.round_digests.push_back(c.digest());
-    while (o.tiny ? r == 0 && run.ops_digests.size() < 2
-                  : ops_s < kOpsShare * seconds_since(start)) {
-      const Clock::time_point ops_start = Clock::now();
-      ops->iterate();
-      ops_s += seconds_since(ops_start);
-    }
+    finish_round(run, c, r);
+    interleave_ops(run, *ops, start, ops_s);
   }
   run.rec.end_timed_phase();
   setups.after_timed_phase();
-  run.values["setup_s"] = setups.median_seconds();
+  run.values["setup_s"] = setups.seconds();
 }
 
 }  // namespace perfbench

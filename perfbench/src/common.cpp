@@ -218,19 +218,59 @@ SweepResult sweep(Run& run, Fleet& fleet, common::ThreadPool* pool,
     run.series[prefix + "sweep.serial_ns_per_edge"].push_back(ns / out.edges);
     return out;
   }
-  add_sample(run, prefix + "sweep_ms", 1e3 * out.seconds, out.seconds);
+  run.series[prefix + "sweep_ms"].push_back(1e3 * out.seconds);
   run.series[prefix + "sweep.ns_per_edge"].push_back(ns / out.edges);
   run.series[prefix + "sweep.ns_per_mac_byte"].push_back(ns / mac_bytes);
   run.series[prefix + "sweep.us_per_report"].push_back(1e-3 * ns / reports);
   return out;
 }
 
-void SetUps::repeat(size_t count) {
-  for (size_t i = 0; i < count; ++i) {
+void finish_round(Run& run, const Counts& counts, uint64_t round) {
+  if (run.round_digests.empty()) {
+    run.first_round = counts;
+  } else {
+    run.gates.check(counts == run.first_round,
+                    "round " + std::to_string(round) +
+                        " differs from round 0 (" +
+                        counts.first_difference(run.first_round) + ")");
+  }
+  run.totals.merge(counts);
+  run.round_digests.push_back(counts.digest());
+}
+
+void record_resident(Run& run, const std::string& prefix,
+                     const std::vector<DeviceSession*>& sessions) {
+  size_t total = 0;
+  size_t most = 0;
+  for (DeviceSession* dev : sessions) {
+    const size_t bytes = dev->resident_memory_bytes();
+    total += bytes;
+    most = std::max(most, bytes);
+  }
+  run.series[prefix + "resident_bytes_mean"].push_back(
+      static_cast<double>(total) / static_cast<double>(sessions.size()));
+  double& max_bytes = run.values[prefix + "resident_bytes_max"];
+  max_bytes = std::max(max_bytes, static_cast<double>(most));
+}
+
+void interleave_ops(Run& run, OpsScenario& ops, Clock::time_point start,
+                    double& ops_s) {
+  while (run.opts.tiny ? run.ops_digests.size() < 2
+                       : ops_s < kOpsShare * seconds_since(start)) {
+    const Clock::time_point ops_start = Clock::now();
+    ops.iterate();
+    ops_s += seconds_since(ops_start);
+  }
+}
+
+std::vector<double> SetUps::batch() {
+  std::vector<double> seconds(options_.tiny ? 1 : 5);
+  for (double& s : seconds) {
     const Clock::time_point start = Clock::now();
     set_up_();
-    seconds_.push_back(seconds_since(start));
+    s = seconds_since(start);
   }
+  return seconds;
 }
 
 }  // namespace perfbench

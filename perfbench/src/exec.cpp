@@ -15,9 +15,6 @@ using namespace eilid;
 
 namespace {
 
-// Share of the timed phase given to the ops scenario, interleaved with
-// the workload's own rounds so both sample the whole run.
-constexpr double kOpsShare = 0.2;
 constexpr size_t kOpsDevices = 64;
 
 }  // namespace
@@ -92,17 +89,7 @@ void run_exec(Run& run) {
     add_sample(run, "exec_mips", 1e-6 * static_cast<double>(insns) / sim_s,
                sim_s);
 
-    size_t resident = 0;
-    size_t most = 0;
-    const std::vector<DeviceSession*> sessions = fleet->sessions();
-    for (DeviceSession* dev : sessions) {
-      resident += dev->resident_memory_bytes();
-      most = std::max(most, dev->resident_memory_bytes());
-    }
-    run.series["resident_bytes_mean"].push_back(
-        static_cast<double>(resident) / static_cast<double>(sessions.size()));
-    run.values["resident_bytes_max"] =
-        std::max(run.values["resident_bytes_max"], static_cast<double>(most));
+    record_resident(run, "", fleet->sessions());
 
     const SweepResult swept = sweep(run, *fleet, nullptr, false, r, c, "");
     add_sample(run, "attest_edges_per_s",
@@ -116,25 +103,12 @@ void run_exec(Run& run) {
                         verdict.device_id + ": benign verdict not clean");
       }
     }
-    if (run.round_digests.empty()) {
-      run.first_round = c;
-    } else {
-      run.gates.check(c == run.first_round,
-                      "round " + std::to_string(r) + " differs from round 0 (" +
-                          c.first_difference(run.first_round) + ")");
-    }
-    run.totals.merge(c);
-    run.round_digests.push_back(c.digest());
-    while (o.tiny ? r == 0 && run.ops_digests.size() < 2
-                  : ops_s < kOpsShare * seconds_since(start)) {
-      const Clock::time_point ops_start = Clock::now();
-      ops->iterate();
-      ops_s += seconds_since(ops_start);
-    }
+    finish_round(run, c, r);
+    interleave_ops(run, *ops, start, ops_s);
   }
   run.rec.end_timed_phase();
   setups.after_timed_phase();
-  run.values["setup_s"] = setups.median_seconds();
+  run.values["setup_s"] = setups.seconds();
 }
 
 }  // namespace perfbench

@@ -49,7 +49,7 @@ void run_fleet_ops(Run& run) {
   }
   run.rec.end_timed_phase();
   setups.after_timed_phase();
-  run.values["setup_s"] = setups.median_seconds();
+  run.values["setup_s"] = setups.seconds();
 }
 
 }  // namespace perfbench

@@ -58,7 +58,7 @@ Recorder::Scope::~Scope() {
 
 void Recorder::accumulate(const char* layer, Clock::time_point start,
                           Clock::time_point end) {
-  LayerTime& acc = layers_[layer];
+  LayerTime& acc = (timed_ ? layers_ : setup_layers_)[layer];
   acc.seconds += seconds_between(start, end);
   ++acc.calls;
 }

@@ -102,7 +102,9 @@ class Recorder {
            Clock::time_point end, int64_t parent);
 
   // Accumulated time per layer within the timed phase; setup_layer()
-  // holds what was accumulated before it began.
+  // holds what was accumulated outside it (the set-ups before and
+  // after), so per-layer rates divide timed-phase time by timed-phase
+  // counts only.
   const LayerTime& layer(const std::string& name) const;
   double seconds(const std::string& name) const { return layer(name).seconds; }
   const LayerTime& setup_layer(const std::string& name) const;
@@ -110,11 +112,13 @@ class Recorder {
   // The timed phase's wall-clock interval; spans outside it are not
   // part of the attribution.
   void begin_timed_phase() {
-    setup_layers_ = std::move(layers_);
-    layers_.clear();
+    timed_ = true;
     timed_start_ = Clock::now();
   }
-  void end_timed_phase() { timed_end_ = Clock::now(); }
+  void end_timed_phase() {
+    timed_end_ = Clock::now();
+    timed_ = false;
+  }
   double timed_seconds() const {
     return seconds_between(timed_start_, timed_end_);
   }
@@ -142,6 +146,7 @@ class Recorder {
   }
 
   bool trace_;
+  bool timed_ = false;  // accumulate into layers_, else setup_layers_
   Clock::time_point epoch_;
   Clock::time_point timed_start_;
   Clock::time_point timed_end_;

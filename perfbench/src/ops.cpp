@@ -274,19 +274,7 @@ void OpsScenario::iterate() {
   }
   add_sample(run, "ops.exec_mips",
              1e-6 * static_cast<double>(burst_insns) / burst_s, burst_s);
-  {
-    size_t total = 0;
-    size_t most = 0;
-    for (DeviceSession* dev : s.devices) {
-      const size_t bytes = dev->resident_memory_bytes();
-      total += bytes;
-      most = std::max(most, bytes);
-    }
-    run.series["ops.resident_bytes_mean"].push_back(
-        static_cast<double>(total) / static_cast<double>(s.devices.size()));
-    double& max_bytes = run.values["ops.resident_bytes_max"];
-    max_bytes = std::max(max_bytes, static_cast<double>(most));
-  }
+  record_resident(run, "ops.", s.devices);
 
   // --- 2. windowed attestation -----------------------------------------
   double window_s = 0;

@@ -20,12 +20,14 @@
 
 namespace perfbench {
 
+// Pool workers asked for; a workload's pool gets min(this, nproc).
+inline constexpr size_t kRequestedThreads = 4;
+
 struct Options {
   std::string workload;
   uint64_t seed = 1;
   double seconds = 10;
   bool trace = false;
-  size_t threads = 4;  // requested; the pool gets min(threads, nproc)
   bool tiny = false;   // self-check size: every phase, a handful of devices
   std::string trace_out;
 };
@@ -52,9 +54,9 @@ struct Run {
   std::map<std::string, double> values;  // one-off measurements
 };
 
-// One sample of an end-to-end host-time metric: its value and the host
+// One sample of an end-to-end rate metric: its value and the host
 // seconds it measured (main.cpp groups short samples before taking the
-// best; see interleaved_best there).
+// best; see best_rate there).
 inline void add_sample(Run& run, const std::string& name, double value,
                        double seconds) {
   run.series[name].push_back(value);
@@ -167,6 +169,26 @@ SweepResult sweep(Run& run, eilid::Fleet& fleet,
                   eilid::common::ThreadPool* pool, bool serial_probe,
                   uint64_t group, Counts& counts, const std::string& prefix);
 
+// Close round `round` of the workload's own loop: keep the first
+// round's count ledger, gate every later one against it (the in-run
+// determinism oracle), add it to the totals and record its digest.
+void finish_round(Run& run, const Counts& counts, uint64_t round);
+
+// Tally resident_memory_bytes() over `sessions`: the mean goes to the
+// series "<prefix>resident_bytes_mean", the largest to the value
+// "<prefix>resident_bytes_max".
+void record_resident(Run& run, const std::string& prefix,
+                     const std::vector<eilid::DeviceSession*>& sessions);
+
+class OpsScenario;
+
+// Between rounds of exec and attest: run ops-scenario iterations until
+// they have taken kOpsShare of the time since `start` (`ops_s` carries
+// their running total), or, at --tiny size, until two have run.
+inline constexpr double kOpsShare = 0.2;
+void interleave_ops(Run& run, OpsScenario& ops, Clock::time_point start,
+                    double& ops_s);
+
 // The fleet-operations scenario: a small multi-generation firmware on a
 // mixed-policy fleet, rolled out, window-verified, heartbeat-monitored,
 // broken and healed once per iteration. fleet-ops runs it at full
@@ -195,25 +217,29 @@ class OpsScenario {
   std::unique_ptr<State> state_;
 };
 
-// Set-up (builds, deploys, enrollment, reference runs) is repeated
-// several times per run and setup_s is the median: most repetitions
-// before the timed phase, the rest after it, so the sample spans the
-// run instead of one moment of it. `set_up` must discard the previous
-// repetition's state; the last one before the timed phase is kept.
+// Set-up (builds, deploys, enrollment, reference runs) is repeated in
+// two batches, one before the timed phase and one after it, and setup_s
+// is the lower of the two batch medians. A batch takes a fraction of a
+// second, so it lies within one host-speed phase; the two batches, the
+// timed phase apart, often do not, and the lower median drops a batch
+// that landed in a slow phase. A slower set-up shows in both. `set_up`
+// must discard the previous repetition's state; the last one before the
+// timed phase is kept.
 class SetUps {
  public:
   SetUps(const Options& options, std::function<void()> set_up)
       : options_(options), set_up_(std::move(set_up)) {}
-  void before_timed_phase() { repeat(options_.tiny ? 1 : 5); }
-  void after_timed_phase() { repeat(options_.tiny ? 1 : 4); }
-  double median_seconds() const { return median(seconds_); }
+  void before_timed_phase() { before_ = batch(); }
+  void after_timed_phase() { after_ = batch(); }
+  double seconds() const { return std::min(median(before_), median(after_)); }
 
  private:
-  void repeat(size_t count);
+  std::vector<double> batch();
 
   const Options& options_;
   std::function<void()> set_up_;
-  std::vector<double> seconds_;
+  std::vector<double> before_;
+  std::vector<double> after_;
 };
 
 void run_exec(Run& run);
