@@ -36,6 +36,7 @@ std::string device_id(size_t i) {
 void run_attest(Run& run) {
   const Options& o = run.opts;
   common::ThreadPool pool(run.threads);
+  run.pool = &pool;
   const size_t devices = o.tiny ? 32 : kDevices;
 
   // The hostile devices, from the seed.
@@ -51,7 +52,7 @@ void run_attest(Run& run) {
   std::vector<apps::FleetWorkload> items;
   std::vector<Work> reference;  // per benign device: its app's checked run
   size_t reference_pipeline_runs = 0;
-  SetUps setups(o, [&] {
+  auto set_up = [&] {
     ops.reset();
     fleet.reset();
     items.clear();
@@ -91,8 +92,8 @@ void run_attest(Run& run) {
     fleet->verifier().verify_all(pool);
     ops = std::make_unique<OpsScenario>(run, o.tiny ? 32 : kOpsDevices, &pool);
     ops->set_up();
-  });
-  setups.before_timed_phase();
+  };
+  set_up_batch(run, set_up);
   run.values["pipeline.runs"] = static_cast<double>(
       reference_pipeline_runs + fleet->pipeline_runs() + ops->pipeline_runs());
   run.values["pipeline.cache_hits"] =
@@ -104,6 +105,8 @@ void run_attest(Run& run) {
   std::vector<Marks> before(devices);
   for (uint64_t r = 0;; ++r) {
     if (o.tiny ? r >= 3 : r > 0 && seconds_since(start) >= o.seconds) break;
+    probe_host(run);
+    const Clock::time_point round_start = Clock::now();
     Counts c;
     run.rec.time("session.power_cycle", r, [&] {
       pool.parallel_for(devices, [&](size_t i) {
@@ -120,7 +123,7 @@ void run_attest(Run& run) {
     c.add("session.power_cycles", devices);
     for (size_t i = 0; i < devices; ++i) before[i] = marks(*items[i].session);
     std::vector<apps::WorkloadOutcome> outcomes;
-    const double sim_s = run.rec.time("sim.run.cfa", r, [&] {
+    const Elapsed sim = run.rec.time("sim.run.cfa", r, [&] {
       outcomes = apps::run_workload_all(items, pool);
     });
     uint64_t insns = 0;
@@ -139,8 +142,8 @@ void run_attest(Run& run) {
       add_work(c, EnforcementPolicy::kCfaBaseline, w);
       insns += w.insns;
     }
-    add_sample(run, "exec_mips", 1e-6 * static_cast<double>(insns) / sim_s,
-               sim_s);
+    add_sample(run, "exec_mips", 1e-6 * static_cast<double>(insns) / sim.cpu,
+               round_start, Clock::now());
     record_resident(run, "", fleet->sessions());
 
     // The traced run alternates serial sweeps in over identical evidence
@@ -149,8 +152,8 @@ void run_attest(Run& run) {
     const SweepResult swept = sweep(run, *fleet, &pool, serial_probe, r, c, "");
     if (!serial_probe) {
       add_sample(run, "attest_edges_per_s",
-                 static_cast<double>(swept.edges) / swept.seconds,
-                 swept.seconds);
+                 static_cast<double>(swept.edges) / swept.cpu_seconds,
+                 swept.start, swept.end);
     }
     std::set<std::string> convicted;
     for (const auto& verdict : swept.verdicts) {
@@ -170,9 +173,10 @@ void run_attest(Run& run) {
     finish_round(run, c, r);
     interleave_ops(run, *ops, start, ops_s);
   }
+  probe_host(run, true);
   run.rec.end_timed_phase();
-  setups.after_timed_phase();
-  run.values["setup_s"] = setups.seconds();
+  set_up_batch(run, set_up);
+  run.pool = nullptr;
 }
 
 }  // namespace perfbench

@@ -192,11 +192,16 @@ SweepResult sweep(Run& run, Fleet& fleet, common::ThreadPool* pool,
                   const std::string& prefix) {
   SweepResult out;
   const char* layer = serial_probe ? "verifier.sweep_serial" : "verifier.sweep";
-  out.seconds = run.rec.time(layer, group, [&] {
+  {
+    Recorder::Scope scope(run.rec, layer, group);
+    out.start = scope.start();
     out.verdicts = pool != nullptr && !serial_probe
                        ? fleet.verifier().verify_all(*pool)
                        : fleet.verifier().verify_all();
-  });
+    out.end = Clock::now();
+    out.cpu_seconds = process_cpu_seconds() - scope.cpu_start();
+  }
+  out.seconds = seconds_between(out.start, out.end);
   uint64_t reports = 0;
   for (const auto& verdict : out.verdicts) {
     if (!verdict.attested) continue;
@@ -218,7 +223,8 @@ SweepResult sweep(Run& run, Fleet& fleet, common::ThreadPool* pool,
     run.series[prefix + "sweep.serial_ns_per_edge"].push_back(ns / out.edges);
     return out;
   }
-  run.series[prefix + "sweep_ms"].push_back(1e3 * out.seconds);
+  add_sample(run, prefix + "sweep_ms", 1e3 * out.cpu_seconds, out.start,
+             out.end);
   run.series[prefix + "sweep.ns_per_edge"].push_back(ns / out.edges);
   run.series[prefix + "sweep.ns_per_mac_byte"].push_back(ns / mac_bytes);
   run.series[prefix + "sweep.us_per_report"].push_back(1e-3 * ns / reports);
@@ -263,14 +269,43 @@ void interleave_ops(Run& run, OpsScenario& ops, Clock::time_point start,
   }
 }
 
-std::vector<double> SetUps::batch() {
-  std::vector<double> seconds(options_.tiny ? 1 : 5);
-  for (double& s : seconds) {
-    const Clock::time_point start = Clock::now();
-    set_up_();
-    s = seconds_since(start);
+void probe_host(Run& run, bool force) {
+  if (!force && !run.host.empty() &&
+      seconds_since(run.host.back().at) < kProbeInterval) {
+    return;
   }
-  return seconds;
+  // Each worker times its own kernel run in its own CPU time, so neither
+  // the pool's wake-up latency nor the hypervisor's preemption enters
+  // the reading; the reading is the workers' mean rate.
+  std::vector<double> rates(run.pool != nullptr ? run.threads : 1);
+  auto time_kernel = [&rates](size_t i) {
+    const double start = thread_cpu_seconds();
+    (void)reference_kernel(kReferenceSteps);
+    rates[i] = static_cast<double>(kReferenceSteps) /
+               (thread_cpu_seconds() - start);
+  };
+  run.rec.time("host.probe", 0, [&] {
+    if (run.pool != nullptr) {
+      run.pool->parallel_for(rates.size(), time_kernel);
+    } else {
+      time_kernel(0);
+    }
+  });
+  double sum = 0;
+  for (double rate : rates) sum += rate;
+  run.host.push_back({Clock::now(), sum / static_cast<double>(rates.size())});
+}
+
+void set_up_batch(Run& run, const std::function<void()>& set_up) {
+  for (int n = run.opts.tiny ? 1 : kSetUpsPerBatch; n > 0; --n) {
+    probe_host(run, true);
+    const Clock::time_point start = Clock::now();
+    const double cpu_start = process_cpu_seconds();
+    set_up();
+    add_sample(run, "setup_s", process_cpu_seconds() - cpu_start, start,
+               Clock::now());
+    probe_host(run, true);
+  }
 }
 
 }  // namespace perfbench

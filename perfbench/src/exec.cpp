@@ -27,7 +27,7 @@ void run_exec(Run& run) {
   std::unique_ptr<OpsScenario> ops;
   Table4 table;
   std::array<DeviceSession*, 4> gateways{};
-  SetUps setups(o, [&] {
+  auto set_up = [&] {
     ops.reset();
     fleet.reset();
     fleet = std::make_unique<Fleet>();
@@ -47,8 +47,8 @@ void run_exec(Run& run) {
     ops = std::make_unique<OpsScenario>(run, o.tiny ? 32 : kOpsDevices,
                                         nullptr);
     ops->set_up();
-  });
-  setups.before_timed_phase();
+  };
+  set_up_batch(run, set_up);
   run.values["pipeline.runs"] =
       static_cast<double>(fleet->pipeline_runs() + ops->pipeline_runs());
   run.values["pipeline.cache_hits"] =
@@ -57,43 +57,49 @@ void run_exec(Run& run) {
   run.values["eilid_size_overhead_pct"] = table.size_overhead_pct;
   const std::string convict_id = gateways[2]->id();
 
+  auto sim_cpu_seconds = [&run](EnforcementPolicy policy) {
+    return run.rec.layer(sim_layer(policy)).cpu_seconds;
+  };
   run.rec.begin_timed_phase();
   const Clock::time_point start = Clock::now();
   double ops_s = 0;
   for (uint64_t r = 0;; ++r) {
     if (o.tiny ? r >= 3 : r > 0 && seconds_since(start) >= o.seconds) break;
+    probe_host(run);
+    const Clock::time_point round_start = Clock::now();
     Counts c;
-    double sim_s = 0;
+    double sim_cpu = 0;
     uint64_t insns = 0;
     for (const Table4::App& app : table.apps) {
       for (size_t p = 0; p < kPolicies.size(); ++p) {
         DeviceSession& dev = *app.devices[p];
         power_cycle(run, dev, r, c);
-        const double before = run.rec.seconds(sim_layer(dev.policy()));
+        const double before = sim_cpu_seconds(dev.policy());
         const Work w = run_app(run, dev, *app.spec, r, c);
-        sim_s += run.rec.seconds(sim_layer(dev.policy())) - before;
+        sim_cpu += sim_cpu_seconds(dev.policy()) - before;
         insns += w.insns;
         run.gates.check(w == app.reference[p],
                         dev.id() + ": rerun differs from its checked run");
       }
     }
     for (size_t p = 0; p < kPolicies.size(); ++p) {
-      const double before = run.rec.seconds(sim_layer(kPolicies[p]));
+      const double before = sim_cpu_seconds(kPolicies[p]);
       const HijackOutcome hijack = hijack_gateway(run, *gateways[p], r, c);
-      sim_s += run.rec.seconds(sim_layer(kPolicies[p])) - before;
+      sim_cpu += sim_cpu_seconds(kPolicies[p]) - before;
       insns += hijack.work.insns;
       run.gates.check(hijack_as_expected(kPolicies[p], hijack),
                       gateways[p]->id() + ": hijack outcome wrong (" +
                           hijack.reset_reason + ")");
     }
-    add_sample(run, "exec_mips", 1e-6 * static_cast<double>(insns) / sim_s,
-               sim_s);
+    add_sample(run, "exec_mips", 1e-6 * static_cast<double>(insns) / sim_cpu,
+               round_start, Clock::now());
 
     record_resident(run, "", fleet->sessions());
 
     const SweepResult swept = sweep(run, *fleet, nullptr, false, r, c, "");
     add_sample(run, "attest_edges_per_s",
-               static_cast<double>(swept.edges) / swept.seconds, swept.seconds);
+               static_cast<double>(swept.edges) / swept.cpu_seconds,
+               swept.start, swept.end);
     for (const auto& verdict : swept.verdicts) {
       if (verdict.device_id == convict_id) {
         run.gates.check(verdict.attested && !verdict.path_ok,
@@ -106,9 +112,9 @@ void run_exec(Run& run) {
     finish_round(run, c, r);
     interleave_ops(run, *ops, start, ops_s);
   }
+  probe_host(run, true);
   run.rec.end_timed_phase();
-  setups.after_timed_phase();
-  run.values["setup_s"] = setups.seconds();
+  set_up_batch(run, set_up);
 }
 
 }  // namespace perfbench

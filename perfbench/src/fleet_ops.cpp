@@ -19,10 +19,11 @@ constexpr size_t kDevices = 4096;
 void run_fleet_ops(Run& run) {
   const Options& o = run.opts;
   common::ThreadPool pool(run.threads);
+  run.pool = &pool;
 
   std::unique_ptr<OpsScenario> ops;
   size_t reference_pipeline_runs = 0;
-  SetUps setups(o, [&] {
+  auto set_up = [&] {
     ops.reset();
     {
       // The modelled overheads come from a private Table IV fleet.
@@ -34,8 +35,8 @@ void run_fleet_ops(Run& run) {
     }
     ops = std::make_unique<OpsScenario>(run, o.tiny ? 64 : kDevices, &pool);
     ops->set_up();
-  });
-  setups.before_timed_phase();
+  };
+  set_up_batch(run, set_up);
   run.values["pipeline.runs"] =
       static_cast<double>(reference_pipeline_runs + ops->pipeline_runs());
   run.values["pipeline.cache_hits"] =
@@ -47,9 +48,10 @@ void run_fleet_ops(Run& run) {
     if (o.tiny ? k >= 3 : k > 0 && seconds_since(start) >= o.seconds) break;
     ops->iterate();
   }
+  probe_host(run, true);
   run.rec.end_timed_phase();
-  setups.after_timed_phase();
-  run.values["setup_s"] = setups.seconds();
+  set_up_batch(run, set_up);
+  run.pool = nullptr;
 }
 
 }  // namespace perfbench

@@ -1,6 +1,7 @@
 #include "harness.h"
 
 #include <sys/resource.h>
+#include <time.h>
 
 #include <cmath>
 #include <cstring>
@@ -44,11 +45,13 @@ Recorder::Scope::Scope(Recorder& recorder, const char* layer, uint64_t group)
     recorder_.open_.push_back(index_);
   }
   start_ = Clock::now();
+  cpu_start_ = process_cpu_seconds();
 }
 
 Recorder::Scope::~Scope() {
   const Clock::time_point end = Clock::now();
-  recorder_.accumulate(layer_, start_, end);
+  recorder_.accumulate(layer_, start_, end,
+                       process_cpu_seconds() - cpu_start_);
   if (index_ < 0) return;
   Span& span = recorder_.spans_[static_cast<size_t>(index_)];
   span.start_ns = recorder_.ns(start_);
@@ -57,15 +60,16 @@ Recorder::Scope::~Scope() {
 }
 
 void Recorder::accumulate(const char* layer, Clock::time_point start,
-                          Clock::time_point end) {
+                          Clock::time_point end, double cpu_seconds) {
   LayerTime& acc = (timed_ ? layers_ : setup_layers_)[layer];
   acc.seconds += seconds_between(start, end);
+  acc.cpu_seconds += cpu_seconds;
   ++acc.calls;
 }
 
 void Recorder::add(const char* layer, uint64_t group, Clock::time_point start,
                    Clock::time_point end, int64_t parent) {
-  accumulate(layer, start, end);
+  accumulate(layer, start, end, 0);
   if (!trace_) return;
   Span span;
   span.name = intern(layer);
@@ -126,6 +130,25 @@ std::map<std::string, double> Recorder::self_seconds() const {
         1e-9 * static_cast<double>(span.end_ns - span.start_ns - child_ns[i]);
   }
   return out;
+}
+
+namespace {
+
+double cpu_clock_seconds(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+}  // namespace
+
+double process_cpu_seconds() {
+  return cpu_clock_seconds(CLOCK_PROCESS_CPUTIME_ID);
+}
+
+double thread_cpu_seconds() {
+  return cpu_clock_seconds(CLOCK_THREAD_CPUTIME_ID);
 }
 
 double Recorder::span_cost_seconds() {
@@ -192,6 +215,28 @@ std::string Counts::first_difference(const Counts& other) const {
     }
   }
   return "";
+}
+
+uint64_t reference_kernel(uint64_t steps) {
+  // Four independent multiply/shift/xor chains with no memory traffic:
+  // several instructions retire per cycle, so the kernel slows when
+  // another thread shares the physical core's execution ports, not only
+  // when the clock drops -- measured, it moved with the simulator's
+  // speed, where dependent-load and pointer-chasing kernels did not.
+  uint64_t a = 1, b = 2, c = 3, d = 4, e = 5, f = 6, g = 7, h = 8;
+  for (uint64_t i = 0; i < steps; ++i) {
+    a = a * 0x9E3779B97F4A7C15ULL + i;
+    b ^= b >> 7;
+    b += a;
+    c = c * 0xBF58476D1CE4E5B9ULL + 1;
+    d ^= d << 13;
+    d += c;
+    e = (e + 0x632BE59BD9B4E019ULL) ^ (e >> 5);
+    f += e;
+    g = g * 0x94D049BB133111EBULL + 3;
+    h ^= g >> 11;
+  }
+  return a ^ b ^ c ^ d ^ e ^ f ^ g ^ h;
 }
 
 double peak_rss_mb() {

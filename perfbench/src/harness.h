@@ -1,11 +1,12 @@
-// Measurement plumbing shared by the three workloads: wall-clock layer
-// timers with optional in-memory span tracing, order statistics, the
-// correctness ledger behind `attempted` / `failed`, the deterministic
-// count ledger, and the metric table the driver prints.
+// Measurement plumbing shared by the three workloads: wall-clock and
+// CPU-time layer timers with optional in-memory span tracing, order
+// statistics, the host-speed reference kernel, the correctness ledger
+// behind `attempted` / `failed`, the deterministic count ledger, and the
+// metric table the driver prints.
 //
 // Every timer wraps a call into one library layer from the outside --
 // the library itself is not instrumented. With tracing off a timer
-// costs two clock reads and one accumulator add; with tracing on it
+// costs four clock reads and two accumulator adds; with tracing on it
 // also appends a span (name, start, end, parent, group id) to an
 // in-memory vector that is written out when the run ends.
 #ifndef PERFBENCH_HARNESS_H
@@ -38,10 +39,23 @@ inline double median(std::vector<double> values) {
   return quantile(std::move(values), 0.5);
 }
 
+// CPU time of this process (all threads) and of the calling thread, in
+// seconds. Unlike wall time they leave out every wait: for a pool
+// worker to be woken, for a core, for the hypervisor to run the vCPU.
+double process_cpu_seconds();
+double thread_cpu_seconds();
+
 // Host time and call count accumulated at one layer boundary.
 struct LayerTime {
-  double seconds = 0;
+  double seconds = 0;      // wall
+  double cpu_seconds = 0;  // process CPU, all threads
   uint64_t calls = 0;
+};
+
+// What one timed call took.
+struct Elapsed {
+  double wall = 0;
+  double cpu = 0;  // process CPU, all threads
 };
 
 struct Span {
@@ -62,8 +76,8 @@ class Recorder {
   bool tracing() const { return trace_; }
 
   // One call into `layer`, open from construction to destruction: its
-  // wall time is added to layer(layer) and, when tracing, a span is
-  // recorded whose parent is the innermost scope still open on this
+  // wall and CPU time are added to layer(layer) and, when tracing, a
+  // span is recorded whose parent is the innermost scope still open on this
   // (the driver) thread.
   class Scope {
    public:
@@ -74,30 +88,34 @@ class Recorder {
 
     int64_t index() const { return index_; }  // -1 when not tracing
     Clock::time_point start() const { return start_; }
+    double cpu_start() const { return cpu_start_; }
 
    private:
     Recorder& recorder_;
     const char* layer_;
     int64_t index_;
     Clock::time_point start_;
+    double cpu_start_;
   };
 
-  // Run fn() inside a Scope; returns the elapsed seconds.
+  // Run fn() inside a Scope; returns what it took.
   template <class Fn>
-  double time(const char* layer, uint64_t group, Fn&& fn) {
+  Elapsed time(const char* layer, uint64_t group, Fn&& fn) {
     Clock::time_point start;
+    double cpu_start = 0;
     {
       Scope scope(*this, layer, group);
       start = scope.start();
+      cpu_start = scope.cpu_start();
       fn();
     }
-    return seconds_since(start);
+    return {seconds_since(start), process_cpu_seconds() - cpu_start};
   }
 
   // Record a call whose boundaries were observed elsewhere (the rollout
   // wave phases, reconstructed from the bench's probe and tamper
-  // callbacks) as a child of span `parent` (-1: top level). Adds to
-  // layer(layer) like a Scope does.
+  // callbacks) as a child of span `parent` (-1: top level). Adds its
+  // wall time to layer(layer) like a Scope does (no CPU time).
   void add(const char* layer, uint64_t group, Clock::time_point start,
            Clock::time_point end, int64_t parent);
 
@@ -138,7 +156,7 @@ class Recorder {
 
  private:
   void accumulate(const char* layer, Clock::time_point start,
-                  Clock::time_point end);
+                  Clock::time_point end, double cpu_seconds);
   uint32_t intern(const char* layer);
   int64_t ns(Clock::time_point t) const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
@@ -203,6 +221,24 @@ using MetricTable = std::map<std::string, Metric>;
 
 // Peak resident set of this process, from getrusage.
 double peak_rss_mb();
+
+// Host-speed reference. On a shared host the same code runs at
+// different speeds from one moment to the next, even in CPU time: a
+// co-tenant on the other hardware thread of the physical core takes
+// execution ports, and the clock moves with the host's load. Within one
+// run the speed switches between phases lasting a fraction of a second,
+// and whole runs differ by up to 2.5x. The reference kernel is a fixed
+// compute loop that belongs to this benchmark, not to the library, so a
+// library change does not move its speed; timed in CPU time next to a
+// sample, it tells how fast the host ran at that moment. kReferenceRate
+// is the kernel rate (steps per CPU second) that scaled samples refer
+// to, about what it reaches on a quiet 4-vCPU Xeon host (Sapphire
+// Rapids class, 2.1 GHz base).
+inline constexpr uint64_t kReferenceSteps = 100000;  // ~0.2 ms per reading
+inline constexpr double kReferenceRate = 6.0e8;
+// Run the kernel for `steps` steps; the result only defeats dead-code
+// elimination.
+uint64_t reference_kernel(uint64_t steps);
 
 }  // namespace perfbench
 

@@ -6,23 +6,27 @@
 // Every input (hostile, offline, power-cut and reflashed device sets,
 // transport fault streams, heartbeat jitter) derives from --seed. Set-up
 // (builds, deploys, enrollment, the checked reference runs) is repeated
-// in a batch before and a batch after the timed phase, and setup_s is the
-// lower batch median (see SetUps); in between, the workload runs as a
+// in a batch before and a batch after the timed phase, and setup_s is
+// the median (see set_up_batch); in between, the workload runs as a
 // closed loop for --seconds. --tiny shrinks every workload to a fixed,
 // small number of rounds for the self-check.
 //
 // With --trace 0 the last line carries the end-to-end metrics, with
 // --trace 1 the per-layer ones (from the same loop, with span tracing
 // on). Every correctness gate that fails counts in `failed` and makes
-// the exit code non-zero. Rates are medians over interleaved best-of-N
-// groups of rounds (see best_rate), sweep percentiles are over
-// every sweep of the fastest stretch of sweeps (see stretch_quantile),
-// per-layer times are medians or timed-phase totals; counts
-// are per round (the first round of the workload's loop plus the first
-// ops iteration) and repeat exactly for a seed.
+// the exit code non-zero. End-to-end host time is process CPU time (all
+// threads), so waits -- pool wake-ups, the hypervisor's -- stay out of
+// it, and each sample is scaled to the reference host speed (see
+// host_factor); those metrics are medians (the sweep percentiles:
+// quantiles) over every sample of the run. Per-layer times are unscaled
+// wall-time medians or timed-phase totals; counts are per round (the
+// first round of the workload's loop plus the first ops iteration) and
+// repeat exactly for a seed.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 
@@ -89,75 +93,52 @@ double series_median(const Run& run, const std::string& name) {
   return it == run.series.end() ? 0 : median(it->second);
 }
 
-// Interleaved best-of-N. On a shared host, speed can switch between
-// fast and slow phases lasting a fraction of a second (co-tenant load
-// on sibling cores). A sample much shorter than a phase lands wholly in
-// one, so a median over short samples jumps between the speeds from run
-// to run.
-// Every round of a workload repeats the same simulated work, so such
-// samples are grouped -- sample i joins group i % G, each group holding
-// enough samples to span kGroupSeconds of measured time and spread over
-// the whole timed phase -- and each group contributes its best (highest
-// rate). Samples of kGroupSeconds or more already average
-// over the phases and stay one per group. A rate metric is the median
-// over the groups, so it reports the rate the program sustains when the
-// host is not in a slow phase. Only rates are taken this way; the sweep
-// percentiles use stretch_quantile below.
-constexpr double kGroupSeconds = 0.25;
-constexpr size_t kMaxGroupSize = 16;
+// Host-speed scaling (see kReferenceRate in harness.h). A sample taken
+// while the host ran slow is scaled up to the reference speed: its
+// factor is kReferenceRate over the median of the host readings taken
+// from kScaleWindow before the sample's start to kScaleWindow after its
+// end (the next reading, else the last, when none falls in that span).
+// One ~0.2 ms reading is itself noisy; a span of about ten of them is
+// still short against the host's speed phases. A rate is multiplied by
+// the factor, a time divided by it. Every metric is then a median or a
+// quantile over all of the run's scaled samples, so the program's own
+// tail stays in it.
+constexpr auto kScaleWindow = std::chrono::milliseconds(50);
 
-double best_rate(const Run& run, const std::string& name) {
-  auto it = run.series.find(name);
-  auto durations = run.series.find(name + ".seconds");
-  if (it == run.series.end() || it->second.empty() ||
-      durations == run.series.end()) {
-    return 0;
+double host_factor(const Run& run, const TimedSample& sample) {
+  const std::vector<HostReading>& host = run.host;
+  if (host.empty()) return 1;
+  auto first = std::lower_bound(
+      host.begin(), host.end(), sample.start - kScaleWindow,
+      [](const HostReading& h, Clock::time_point t) { return h.at < t; });
+  auto last = std::upper_bound(
+      host.begin(), host.end(), sample.end + kScaleWindow,
+      [](Clock::time_point t, const HostReading& h) { return t < h.at; });
+  if (first == last) {  // none in the span: the next one, else the last
+    first = first == host.end() ? std::prev(first) : first;
+    last = std::next(first);
   }
-  const std::vector<double>& samples = it->second;
-  const double typical = median(durations->second);
-  const auto per_group =
-      typical > 0 ? static_cast<size_t>(std::lround(kGroupSeconds / typical))
-                  : 1;
-  const size_t group_size = std::clamp<size_t>(per_group, 1, kMaxGroupSize);
-  const size_t groups = std::max<size_t>(1, samples.size() / group_size);
-  std::vector<double> best(groups, 0);
-  for (size_t i = 0; i < samples.size(); ++i) {
-    best[i % groups] = std::max(best[i % groups], samples[i]);
-  }
-  return median(best);
+  std::vector<double> rates;
+  for (auto it = first; it != last; ++it) rates.push_back(it->rate);
+  return kReferenceRate / median(std::move(rates));
 }
 
-// Sweep percentiles. A run with many short sweeps (exec: ~2.5 ms serial
-// sweeps, one every ~20 ms, 1500+ per run) has its sweeps cut, in order,
-// into stretches of kStretchSweeps consecutive sweeps; the percentile is
-// taken over every sweep of a stretch and the lowest stretch is
-// reported. A stretch is short enough to lie within one host-speed
-// phase, so the pick filters the host's slow phases (a whole-run
-// percentile of the exec sweeps moved by 25% between runs as the phase
-// mix changed). It does not filter the program's own tail: if one sweep
-// in four were slow, every stretch would hold four slow sweeps and its
-// p90 would show them. Runs with fewer than kMinStretches stretches'
-// worth are one stretch: attest (a ~100 ms sweep per round) and
-// fleet-ops (one audit sweep per ~0.2 s iteration) make a few hundred
-// sweeps per run at most, spaced widely enough that the whole-run
-// percentile already averages over the phases, while a pick among a few
-// long stretches would not.
-constexpr size_t kStretchSweeps = 16;
-constexpr size_t kMinStretches = 32;
-
-double stretch_quantile(const Run& run, const std::string& name, double q) {
-  auto it = run.series.find(name);
-  if (it == run.series.end() || it->second.empty()) return 0;
-  const std::vector<double>& sweeps = it->second;
-  const size_t n = sweeps.size() >= kStretchSweeps * kMinStretches
-                       ? kStretchSweeps
-                       : sweeps.size();
-  double best = INFINITY;
-  for (size_t i = 0; i + n <= sweeps.size(); i += n) {
-    best = std::min(best, quantile({sweeps.begin() + i,
-                                    sweeps.begin() + i + n}, q));
+// q-quantile over the scaled samples of `name`; `time` says whether
+// they are times (divided by the factor) or rates (multiplied).
+double scaled_quantile(const Run& run, const std::string& name, double q,
+                       bool time) {
+  auto it = run.samples.find(name);
+  if (it == run.samples.end()) return 0;
+  std::vector<double> scaled;
+  for (const TimedSample& sample : it->second) {
+    const double factor = host_factor(run, sample);
+    scaled.push_back(time ? sample.value / factor : sample.value * factor);
   }
-  return best;
+  return quantile(std::move(scaled), q);
+}
+
+double scaled_rate(const Run& run, const std::string& name) {
+  return scaled_quantile(run, name, 0.5, false);
 }
 
 double value(const Run& run, const std::string& name) {
@@ -174,15 +155,16 @@ std::string primary(const Run& run) {
 MetricTable end_to_end(const Run& run) {
   const std::string p = primary(run);
   MetricTable m;
-  m["setup_s"] = {value(run, "setup_s"), "s"};
-  m["exec_mips"] = {best_rate(run, p + "exec_mips"), "MIPS"};
-  m["attest_edges_per_s"] = {best_rate(run, p + "attest_edges_per_s"),
+  m["setup_s"] = {scaled_quantile(run, "setup_s", 0.5, true), "s"};
+  m["exec_mips"] = {scaled_rate(run, p + "exec_mips"), "MIPS"};
+  m["attest_edges_per_s"] = {scaled_rate(run, p + "attest_edges_per_s"),
                              "edges/s"};
-  m["sweep_ms_p50"] = {stretch_quantile(run, p + "sweep_ms", 0.5), "ms"};
-  m["sweep_ms_p90"] = {stretch_quantile(run, p + "sweep_ms", 0.9), "ms"};
-  m["campaign_devices_per_s"] = {best_rate(run, "campaign_devices_per_s"),
+  m["sweep_ms_p50"] = {scaled_quantile(run, p + "sweep_ms", 0.5, true), "ms"};
+  m["sweep_ms_p90"] = {scaled_quantile(run, p + "sweep_ms", 0.9, true), "ms"};
+  m["campaign_devices_per_s"] = {scaled_rate(run, "campaign_devices_per_s"),
                                  "devices/s"};
-  m["window_ticks_per_s"] = {best_rate(run, "window_ticks_per_s"), "ticks/s"};
+  m["window_ticks_per_s"] = {scaled_rate(run, "window_ticks_per_s"),
+                             "ticks/s"};
   m["staleness_ticks_p99"] = {series_median(run, "staleness_ticks_p99"),
                               "ticks"};
   m["resident_bytes_per_device"] = {
@@ -386,6 +368,19 @@ int main(int argc, char** argv) {
               run.rec.timed_seconds());
   print_digests("rounds", run.round_digests);
   print_digests("ops", run.ops_digests);
+  std::vector<double> rates;
+  for (const HostReading& h : run.host) rates.push_back(h.rate);
+  std::printf(
+      "host reference kernel: %zu readings, p10/p50/p90 %.4g/%.4g/%.4g "
+      "steps/s; samples are scaled to %.4g steps/s\n",
+      rates.size(), quantile(rates, 0.1), quantile(rates, 0.5),
+      quantile(rates, 0.9), kReferenceRate);
+  for (const auto& [name, samples] : run.samples) {
+    std::vector<double> raw;
+    for (const TimedSample& sample : samples) raw.push_back(sample.value);
+    std::printf("  %-28s %zu samples, unscaled median %.6g\n", name.c_str(),
+                raw.size(), median(raw));
+  }
 
   const double runtime_pct = value(run, "eilid_runtime_overhead_pct");
   const double size_pct = value(run, "eilid_size_overhead_pct");

@@ -221,7 +221,9 @@ void OpsScenario::iterate() {
   for (size_t i : offline) offline_ids.insert(device_id(i));
 
   // --- 1. boot burst, one policy group at a time -----------------------
-  double burst_s = 0;
+  probe_host(run);
+  const Clock::time_point burst_start = Clock::now();
+  double burst_cpu = 0;
   uint64_t burst_insns = 0;
   for (EnforcementPolicy policy : kPolicies) {
     std::vector<DeviceSession*> members;
@@ -247,7 +249,7 @@ void OpsScenario::iterate() {
     before.reserve(members.size());
     for (DeviceSession* dev : members) before.push_back(marks(*dev));
     std::vector<apps::WorkloadOutcome> outcomes(members.size());
-    burst_s += run.rec.time(sim_layer(policy), group, [&] {
+    burst_cpu += run.rec.time(sim_layer(policy), group, [&] {
       if (pool_ != nullptr) {
         std::vector<apps::FleetWorkload> items;
         for (DeviceSession* dev : members) items.push_back({dev, &spec, 0});
@@ -258,7 +260,7 @@ void OpsScenario::iterate() {
           outcomes[i] = apps::run_workload(*members[i], spec);
         }
       }
-    });
+    }).cpu;
     Work reference;
     for (size_t i = 0; i < members.size(); ++i) {
       const Work w = work_between(before[i], marks(*members[i]),
@@ -273,11 +275,14 @@ void OpsScenario::iterate() {
     }
   }
   add_sample(run, "ops.exec_mips",
-             1e-6 * static_cast<double>(burst_insns) / burst_s, burst_s);
+             1e-6 * static_cast<double>(burst_insns) / burst_cpu, burst_start,
+             Clock::now());
   record_resident(run, "ops.", s.devices);
 
   // --- 2. windowed attestation -----------------------------------------
-  double window_s = 0;
+  probe_host(run);
+  const Clock::time_point window_start = Clock::now();
+  double window_cpu = 0;
   Tick window_ticks = 0;
   uint64_t window_edges = 0;
   {
@@ -296,10 +301,10 @@ void OpsScenario::iterate() {
       const Tick from = fleet.clock().now();
       const Tick deadline = from + 8 * kWindowPeriod;
       IncrementalVerifier::WindowReport report;
-      window_s += run.rec.time("window.run", group, [&] {
+      window_cpu += run.rec.time("window.run", group, [&] {
         report = pool_ != nullptr ? window.run_until(deadline, *pool_)
                                   : window.run_until(deadline);
-      });
+      }).cpu;
       window_ticks += deadline - from;
       c.add("window.rounds", report.rounds.size());
       for (const auto& round : report.rounds) {
@@ -341,7 +346,9 @@ void OpsScenario::iterate() {
   }
 
   // --- 4. rollout ---------------------------------------------------------
-  double rollout_s = 0;
+  probe_host(run);
+  const Clock::time_point rollout_start = Clock::now();
+  double rollout_cpu = 0;
   size_t moved = 0;
   uint64_t shipped_bytes = 0;  // payload, retransmits included
   std::array<std::array<double, kWaves>, 3> wave_s{};
@@ -419,6 +426,7 @@ void OpsScenario::iterate() {
     RolloutReport report;
     Clock::time_point start;
     Clock::time_point end;
+    double cpu = 0;
     int64_t span = -1;
     {
       Recorder::Scope scope(run.rec, serial_probe ? "rollout.run_serial"
@@ -429,13 +437,14 @@ void OpsScenario::iterate() {
       report = pool_ != nullptr && !serial_probe ? scheduler.run(*pool_)
                                                  : scheduler.run();
       end = Clock::now();
+      cpu = process_cpu_seconds() - scope.cpu_start();
     }
     const double seconds = seconds_between(start, end);
     if (serial_probe) {
       run.series["rollout.serial_s_per_device"].push_back(
           seconds / static_cast<double>(ids.size()));
     } else {
-      rollout_s += seconds;
+      rollout_cpu += cpu;
       run.series["rollout.pooled_s_per_device"].push_back(
           seconds / static_cast<double>(ids.size()));
       // Wave phases: apply runs from the first package of the wave to
@@ -495,9 +504,10 @@ void OpsScenario::iterate() {
     }
   }
   c.add("update.devices", moved);
-  if (rollout_s > 0) {
+  if (rollout_cpu > 0) {
     add_sample(run, "campaign_devices_per_s",
-               static_cast<double>(moved) / rollout_s, rollout_s);
+               static_cast<double>(moved) / rollout_cpu, rollout_start,
+               Clock::now());
     double apply_s = 0;
     for (size_t p = 0; p < 3; ++p) {
       for (size_t w = 0; w < kWaves; ++w) {
@@ -525,7 +535,8 @@ void OpsScenario::iterate() {
   }
 
   // --- 6. health horizon --------------------------------------------------
-  double health_s = 0;
+  probe_host(run);
+  double health_cpu = 0;
   double heal_s = 0;
   {
     HealthMonitor health(
@@ -544,13 +555,13 @@ void OpsScenario::iterate() {
         for (size_t i : offline) s.devices[i]->set_online(true);
       }
       HealthReport report;
-      const double seconds = run.rec.time("health.run", group, [&] {
+      const Elapsed took = run.rec.time("health.run", group, [&] {
         report = pool_ != nullptr
                      ? health.run_until(t0 + kPassEnds[pass], *pool_)
                      : health.run_until(t0 + kPassEnds[pass]);
       });
-      health_s += seconds;
-      if (!report.remediations.empty()) heal_s += seconds;
+      health_cpu += took.cpu;
+      if (!report.remediations.empty()) heal_s += took.wall;
       for (const auto& beat : report.heartbeats.beats) {
         c.add("health.verdicts", beat.verdicts.size() + beat.missed.size());
         if (pass + 1 == std::size(kPassEnds)) {
@@ -599,8 +610,8 @@ void OpsScenario::iterate() {
   run.series["heal_ms"].push_back(1e3 * heal_s);
   const Tick horizon_ticks = window_ticks + kPassEnds[std::size(kPassEnds) - 1];
   add_sample(run, "window_ticks_per_s",
-             static_cast<double>(horizon_ticks) / (window_s + health_s),
-             window_s + health_s);
+             static_cast<double>(horizon_ticks) / (window_cpu + health_cpu),
+             window_start, Clock::now());
 
   // --- 7. reflash a few honest devices, audit the fleet ------------------
   for (size_t i : reflashed) {
@@ -611,13 +622,14 @@ void OpsScenario::iterate() {
     });
     c.add("session.reflashes", 1);
   }
+  probe_host(run);
   const SweepResult audit =
       sweep(run, fleet, pool_, serial_probe, group, c, "ops.");
   if (!serial_probe) {
     add_sample(run, "ops.attest_edges_per_s",
                static_cast<double>(window_edges + audit.edges) /
-                   (window_s + audit.seconds),
-               window_s + audit.seconds);
+                   (window_cpu + audit.cpu_seconds),
+               window_start, audit.end);
   }
   for (const auto& verdict : audit.verdicts) {
     if (!verdict.attested) continue;
@@ -631,6 +643,7 @@ void OpsScenario::iterate() {
     gates.check(s.devices[i]->shared_build() == target,
                 device_id(i) + ": not on the target build");
   }
+  probe_host(run);
   s.generation = next;
   if (run.ops_digests.empty()) run.first_ops = c;
   run.totals.merge(c);

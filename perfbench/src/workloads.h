@@ -32,8 +32,26 @@ struct Options {
   std::string trace_out;
 };
 
+// One reading of the reference kernel's rate (see harness.h), taken at
+// `at`. With a pool, the mean of the workers' rates, all of them
+// running it at once.
+struct HostReading {
+  Clock::time_point at;
+  double rate = 0;
+};
+
+// One sample of an end-to-end host-time metric (a rate or a time, from
+// process CPU time), taken between `start` and `end`; main.cpp scales
+// it by the host readings around that interval (see host_factor there).
+struct TimedSample {
+  double value = 0;
+  Clock::time_point start;
+  Clock::time_point end;
+};
+
 // Everything one workload run measures. Times live in `rec`; simulated
-// work lives in the count ledgers; per-round samples in `series`.
+// work lives in the count ledgers; per-round samples in `series`, and
+// the end-to-end host-time ones in `samples`.
 struct Run {
   explicit Run(const Options& options) : opts(options), rec(options.trace) {}
 
@@ -41,6 +59,7 @@ struct Run {
   Recorder rec;
   Gates gates;
   size_t threads = 1;  // pool workers actually used (1: serial paths)
+  eilid::common::ThreadPool* pool = nullptr;  // the workload's pool, if any
   Counts totals;       // summed over every round of the timed phase
   // Deterministic counts of the rounds (exec, attest) and of the ops
   // scenario iterations: the first one's full ledger, then one digest
@@ -52,16 +71,23 @@ struct Run {
   std::vector<uint64_t> ops_digests;
   std::map<std::string, std::vector<double>> series;
   std::map<std::string, double> values;  // one-off measurements
+  std::map<std::string, std::vector<TimedSample>> samples;
+  std::vector<HostReading> host;  // in time order
 };
 
-// One sample of an end-to-end rate metric: its value and the host
-// seconds it measured (main.cpp groups short samples before taking the
-// best; see best_rate there).
 inline void add_sample(Run& run, const std::string& name, double value,
-                       double seconds) {
-  run.series[name].push_back(value);
-  run.series[name + ".seconds"].push_back(seconds);
+                       Clock::time_point start, Clock::time_point end) {
+  run.samples[name].push_back({value, start, end});
 }
+
+// Take a host reading, on every pool worker at once when the workload
+// has a pool, else on this thread -- unless one was taken less than
+// kProbeInterval ago and `force` is false. Called between library calls
+// (never inside a timed one) at every round, iteration and phase
+// boundary, so each sample has readings close before and after it;
+// timed as host.probe.
+inline constexpr double kProbeInterval = 0.01;
+void probe_host(Run& run, bool force = false);
 
 inline constexpr std::array<eilid::EnforcementPolicy, 4> kPolicies = {
     eilid::EnforcementPolicy::kNone, eilid::EnforcementPolicy::kCasu,
@@ -158,11 +184,15 @@ eilid::DeviceSession& deploy(
 // One barrier verify_all sweep (serial when pool is null), timed as
 // verifier.sweep -- or verifier.sweep_serial when `serial_probe` (the
 // traced run's pooled-vs-serial comparison). Per-sweep samples go to
-// run.series under `prefix` ("" for the workload's own loop, "ops."
-// for the ops scenario); verdict counts to `counts`.
+// run.series (and the sweep_ms sample to run.samples) under `prefix`
+// ("" for the workload's own loop, "ops." for the ops scenario);
+// verdict counts to `counts`.
 struct SweepResult {
   std::vector<eilid::VerifierService::AttestResult> verdicts;
-  double seconds = 0;
+  double seconds = 0;      // wall
+  double cpu_seconds = 0;  // process CPU, all threads
+  Clock::time_point start;
+  Clock::time_point end;
   uint64_t edges = 0;
 };
 SweepResult sweep(Run& run, eilid::Fleet& fleet,
@@ -217,30 +247,14 @@ class OpsScenario {
   std::unique_ptr<State> state_;
 };
 
-// Set-up (builds, deploys, enrollment, reference runs) is repeated in
-// two batches, one before the timed phase and one after it, and setup_s
-// is the lower of the two batch medians. A batch takes a fraction of a
-// second, so it lies within one host-speed phase; the two batches, the
-// timed phase apart, often do not, and the lower median drops a batch
-// that landed in a slow phase. A slower set-up shows in both. `set_up`
-// must discard the previous repetition's state; the last one before the
-// timed phase is kept.
-class SetUps {
- public:
-  SetUps(const Options& options, std::function<void()> set_up)
-      : options_(options), set_up_(std::move(set_up)) {}
-  void before_timed_phase() { before_ = batch(); }
-  void after_timed_phase() { after_ = batch(); }
-  double seconds() const { return std::min(median(before_), median(after_)); }
-
- private:
-  std::vector<double> batch();
-
-  const Options& options_;
-  std::function<void()> set_up_;
-  std::vector<double> before_;
-  std::vector<double> after_;
-};
+// Set-up (builds, deploys, enrollment, reference runs) runs as a batch
+// of repetitions before the timed phase and again after it; each
+// repetition is a setup_s sample between two forced host readings, and
+// setup_s is the median of both batches. `set_up` must discard the
+// previous repetition's state; the last one before the timed phase is
+// kept.
+inline constexpr int kSetUpsPerBatch = 8;
+void set_up_batch(Run& run, const std::function<void()>& set_up);
 
 void run_exec(Run& run);
 void run_attest(Run& run);
