@@ -1007,19 +1007,12 @@ eilid::WaveProbe wave_workload(const AppSpec& app, uint64_t cycle_budget) {
   // reference would dangle for any non-static AppSpec.
   return [spec = app, cycle_budget](const std::vector<DeviceSession*>& wave,
                                     common::ThreadPool* pool) {
-    if (pool != nullptr) {
-      std::vector<FleetWorkload> items;
-      items.reserve(wave.size());
-      for (DeviceSession* session : wave) {
-        items.push_back({session, &spec, cycle_budget});
-      }
-      run_workload_all(items, *pool);
-      return;
-    }
+    std::vector<FleetWorkload> items;
+    items.reserve(wave.size());
     for (DeviceSession* session : wave) {
-      std::lock_guard<std::mutex> lock(session->mutex());
-      run_workload(*session, spec, cycle_budget);
+      items.push_back({session, &spec, cycle_budget});
     }
+    run_workload_all(items, *pool);
   };
 }
 

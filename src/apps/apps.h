@@ -84,10 +84,10 @@ std::vector<WorkloadOutcome> run_workload_all(
 // the wave's apply and its attestation gate, so freshly updated
 // devices produce post-update evidence for the gate to judge. Takes
 // each session's mutex() while driving it (per the WaveProbe
-// contract); with a pool the wave fans out via run_workload_all(),
-// serially each device runs in membership order -- either way the
-// devices' resulting state is identical. The spec is copied into the
-// probe, so a temporary AppSpec is safe to pass.
+// contract); the wave fans out over the run's pool via
+// run_workload_all() -- in membership order on the inline pool -- and
+// the devices' resulting state does not depend on the pool. The spec
+// is copied into the probe, so a temporary AppSpec is safe to pass.
 eilid::WaveProbe wave_workload(const AppSpec& app, uint64_t cycle_budget = 0);
 
 }  // namespace eilid::apps

@@ -208,7 +208,7 @@ UpdateEngine::UpdateEngine(std::span<const uint8_t> device_key,
       machine_(machine),
       monitor_(monitor) {}
 
-UpdateStatus UpdateEngine::apply(const UpdatePackage& package) {
+UpdateStatus UpdateEngine::verify(const UpdatePackage& package) {
   for (const auto& region : package.regions) {
     if (!sim::is_pmem(region.target_addr) ||
         region.target_addr + region.payload.size() > 0x10000) {
@@ -226,13 +226,28 @@ UpdateStatus UpdateEngine::apply(const UpdatePackage& package) {
     if (monitor_ != nullptr) monitor_->report_update_rollback();
     return UpdateStatus::kRollback;
   }
+  return UpdateStatus::kApplied;
+}
+
+bool UpdateEngine::write_regions(const UpdatePackage& package,
+                                 std::optional<size_t> stop_after) {
   if (monitor_ != nullptr) monitor_->begin_update_session();
+  size_t written = 0;
   for (const auto& region : package.regions) {
+    if (stop_after.has_value() && written == *stop_after) break;
     machine_.bus().raw_store_bytes(
         region.target_addr, std::span<const uint8_t>(region.payload.data(),
                                                      region.payload.size()));
+    ++written;
   }
   if (monitor_ != nullptr) monitor_->end_update_session();
+  return written == package.regions.size();
+}
+
+UpdateStatus UpdateEngine::apply(const UpdatePackage& package) {
+  const UpdateStatus status = verify(package);
+  if (status != UpdateStatus::kApplied) return status;
+  write_regions(package, std::nullopt);
   version_ = package.version;
   return UpdateStatus::kApplied;
 }
@@ -304,48 +319,23 @@ UpdateStatus UpdateEngine::finalize_transfer(
     if (monitor_ != nullptr) monitor_->report_update_auth_failure();
     return UpdateStatus::kBadMac;
   }
-  UpdatePackage& package = *parsed;
-  for (const auto& region : package.regions) {
-    if (!sim::is_pmem(region.target_addr) ||
-        region.target_addr + region.payload.size() > 0x10000) {
-      return UpdateStatus::kBadRegion;
-    }
-  }
-  crypto::Digest expected = package_mac(update_key_, package);
-  if (!crypto::digest_equal(expected, package.mac)) {
-    if (monitor_ != nullptr) monitor_->report_update_auth_failure();
-    return UpdateStatus::kBadMac;
-  }
-  if (package.version <= version_) {
-    if (monitor_ != nullptr) monitor_->report_update_rollback();
-    return UpdateStatus::kRollback;
-  }
+  const UpdateStatus status = verify(*parsed);
+  if (status != UpdateStatus::kApplied) return status;
   // Phase 1 done: the package is authentic and monotonic. Journal it
   // (non-volatile) so the swap survives any reset, then replay.
-  journal_.emplace(CommitJournal{std::move(package)});
+  journal_.emplace(CommitJournal{std::move(*parsed)});
   return commit(power_cut_after_regions);
 }
 
 UpdateStatus UpdateEngine::commit(
     std::optional<size_t> power_cut_after_regions) {
   const UpdatePackage& package = journal_->package;
-  if (monitor_ != nullptr) monitor_->begin_update_session();
-  size_t written = 0;
-  for (const auto& region : package.regions) {
-    if (power_cut_after_regions.has_value() &&
-        written == *power_cut_after_regions) {
-      // The supply fails mid-swap. The journal stays pending; the
-      // half-written PMEM is never executed -- recover_after_reset()
-      // replays the whole journal before application code runs.
-      if (monitor_ != nullptr) monitor_->end_update_session();
-      return UpdateStatus::kInterrupted;
-    }
-    machine_.bus().raw_store_bytes(
-        region.target_addr, std::span<const uint8_t>(region.payload.data(),
-                                                     region.payload.size()));
-    ++written;
+  if (!write_regions(package, power_cut_after_regions)) {
+    // The supply failed mid-swap. The journal stays pending; the
+    // half-written PMEM is never executed -- recover_after_reset()
+    // replays the whole journal before application code runs.
+    return UpdateStatus::kInterrupted;
   }
-  if (monitor_ != nullptr) monitor_->end_update_session();
   // The version bump and the journal retiring are the atomic commit
   // point: before it the device is (after recovery replay) the old
   // image with the old counter, after it the new image with the new.

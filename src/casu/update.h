@@ -240,6 +240,15 @@ class UpdateEngine {
     UpdatePackage package;
   };
 
+  // The one verification both delivery paths run, in order: regions
+  // inside PMEM, then MAC, then anti-rollback. kBadMac / kRollback
+  // latch the monitor's violation; kApplied means "may be committed".
+  UpdateStatus verify(const UpdatePackage& package);
+  // The one region writer: replay `package` into PMEM under an open
+  // monitor update session, stopping after `stop_after` regions when
+  // set (the power-cut hook). True when every region was written.
+  bool write_regions(const UpdatePackage& package,
+                     std::optional<size_t> stop_after);
   UpdateStatus commit(std::optional<size_t> power_cut_after_regions);
 
   crypto::Digest update_key_;

@@ -17,6 +17,11 @@ ThreadPool::ThreadPool(size_t workers) {
   }
 }
 
+ThreadPool& ThreadPool::inline_pool() {
+  static ThreadPool pool{InlineTag{}};
+  return pool;
+}
+
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -45,18 +50,18 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    try {
-      task();
-    } catch (...) {
-      // A fire-and-forget task has nobody to rethrow to; letting the
-      // exception escape would std::terminate the process. parallel_for
-      // tasks never get here (they capture and rethrow to the caller).
-    }
+    task();  // parallel_for tasks catch their own errors
   }
 }
 
 void ThreadPool::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
+  if (workers_.empty()) {
+    // The inline pool: in index order on the caller's thread, and the
+    // first throw propagates before any later index runs.
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
 
   // One chunky task per worker; each claims indices until none remain.
   struct Sweep {

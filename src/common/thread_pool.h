@@ -11,10 +11,15 @@
 //   });
 //
 // parallel_for() blocks the calling thread until every index has run
-// (the caller does not execute work items itself, so a pool of N uses
-// exactly N workers) and rethrows the first exception a work item
-// threw. submit() enqueues fire-and-forget work; the destructor drains
-// the queue before joining.
+// and rethrows the first exception a work item threw. On a worker pool
+// the caller does not execute work items itself, so a pool of N uses
+// exactly N workers; the destructor drains the queue before joining.
+//
+// inline_pool() is the one shared zero-worker pool: its parallel_for
+// runs fn(0) .. fn(n-1) in index order on the calling thread and stops
+// at the first throw. Every fleet scheduler takes a ThreadPool&
+// defaulting to it, so a "serial" run executes exactly the pooled code
+// path and pooled == serial holds by construction.
 #ifndef EILID_COMMON_THREAD_POOL_H
 #define EILID_COMMON_THREAD_POOL_H
 
@@ -37,22 +42,29 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  // The shared inline pool (zero workers; see the header comment).
+  // Stateless, so any number of threads may use it at once, and
+  // reentrant: a work item may call its parallel_for again.
+  static ThreadPool& inline_pool();
+
   size_t worker_count() const { return workers_.size(); }
 
-  // Enqueue one task. Tasks run in FIFO order across the workers. An
-  // exception a task throws is swallowed (fire-and-forget has nobody
-  // to rethrow to); use parallel_for() when failures must propagate.
-  void submit(std::function<void()> task);
-
-  // Run fn(0) .. fn(n-1) across the workers and block until all have
-  // finished. Indices are claimed atomically, so the iteration order
-  // interleaves but every index runs exactly once. If any invocation
-  // throws, the remaining unclaimed indices are abandoned and the
-  // first exception is rethrown here. Not reentrant: must not be
-  // called from inside a pool task of the same pool.
+  // Run fn(0) .. fn(n-1) and block until all have finished. On a worker
+  // pool indices are claimed atomically, so the iteration order
+  // interleaves but every index runs exactly once; if any invocation
+  // throws, the remaining unclaimed indices are abandoned and the first
+  // exception is rethrown here. A worker pool's parallel_for is not
+  // reentrant: it must not be called from inside a task of the same
+  // pool.
   void parallel_for(size_t n, const std::function<void(size_t)>& fn);
 
  private:
+  struct InlineTag {};
+  explicit ThreadPool(InlineTag) {}
+
+  // Enqueue one task; tasks run in FIFO order across the workers.
+  // parallel_for is the only producer, and its tasks never throw.
+  void submit(std::function<void()> task);
   void worker_loop();
 
   std::mutex mu_;

@@ -72,12 +72,8 @@ bool VerifierService::enrolled(const std::string& device_id) const {
 }
 
 void VerifierService::withdraw(const std::string& device_id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    devices_.erase(device_id);
-  }
-  std::lock_guard<std::mutex> lock(fresh_mu_);
-  freshness_.erase(device_id);
+  std::lock_guard<std::mutex> lock(mu_);
+  devices_.erase(device_id);
 }
 
 bool VerifierService::stage_cfg_swap(DeviceSession& session) {
@@ -95,17 +91,8 @@ bool VerifierService::stage_cfg_swap(DeviceSession& session) {
   return true;
 }
 
-VerifierService::AttestResult VerifierService::attest(DeviceSession& session) {
-  return attest_with_budget(session, 0);
-}
-
-VerifierService::AttestResult VerifierService::attest_slice(
-    DeviceSession& session, size_t max_edges) {
-  return attest_with_budget(session, max_edges);
-}
-
-VerifierService::AttestResult VerifierService::attest_with_budget(
-    DeviceSession& session, size_t max_edges) {
+VerifierService::AttestResult VerifierService::attest(DeviceSession& session,
+                                                     size_t max_edges) {
   if (session.cfa_monitor() == nullptr) {
     // Nothing to challenge: no on-device evidence exists. Report the
     // gap instead of throwing so a sweep over a mixed-policy batch
@@ -175,38 +162,11 @@ VerifierService::AttestResult VerifierService::attest_device(
   out.mac_ok = v.mac_ok;
   out.path_ok = v.path_ok;
   out.first_bad = v.first_bad;
-
-  // Freshness bookkeeping: every sweep flavor funnels through here, so
-  // last-seen/last-ok ticks cover full sweeps, subset gates and direct
-  // attest() calls alike. Guarded by its own lock (not the session's):
-  // health monitors read freshness while other devices are mid-sweep.
-  {
-    std::lock_guard<std::mutex> lock(fresh_mu_);
-    Freshness& fresh = freshness_[out.device_id];
-    fresh.last_attested_tick = out.tick;
-    fresh.ever_attested = true;
-    ++fresh.reports;
-    if (out.ok()) {
-      fresh.last_ok_tick = out.tick;
-      fresh.ever_ok = true;
-      fresh.convicted = false;
-    } else {
-      fresh.convicted = true;
-    }
-  }
   return out;
 }
 
-VerifierService::Freshness VerifierService::freshness(
-    const std::string& device_id) const {
-  std::lock_guard<std::mutex> lock(fresh_mu_);
-  auto it = freshness_.find(device_id);
-  return it == freshness_.end() ? Freshness{} : it->second;
-}
-
 // Snapshot of every enrolled device's state, in enrollment-id (map)
-// order -- the one definition both sweep flavors share, so they can
-// never diverge on what a sweep covers.
+// order.
 std::vector<VerifierService::DeviceState*> VerifierService::sweep_snapshot() {
   std::vector<DeviceState*> sweep;
   std::lock_guard<std::mutex> lock(mu_);
@@ -218,21 +178,11 @@ std::vector<VerifierService::DeviceState*> VerifierService::sweep_snapshot() {
   return sweep;
 }
 
-std::vector<VerifierService::AttestResult> VerifierService::verify_all() {
-  std::vector<DeviceState*> sweep = sweep_snapshot();
-  std::vector<AttestResult> out;
-  out.reserve(sweep.size());
-  for (DeviceState* state : sweep) {
-    out.push_back(attest_device(*state, *state->session, 0));
-  }
-  return out;
-}
-
 std::vector<VerifierService::AttestResult> VerifierService::verify_all(
     common::ThreadPool& pool) {
   // Workers fill results by snapshot index: they interleave, but the
-  // output order is deterministic and the verdicts match the serial
-  // sweep because each device's evidence, replay state and sequence
+  // output order is deterministic and the verdicts do not depend on
+  // the pool because each device's evidence, replay state and sequence
   // window are private to it.
   std::vector<DeviceState*> sweep = sweep_snapshot();
   std::vector<AttestResult> out(sweep.size());
@@ -266,22 +216,13 @@ std::vector<DeviceSession*> VerifierService::ordered_subset(
 }
 
 std::vector<VerifierService::AttestResult> VerifierService::verify_all(
-    const std::vector<DeviceSession*>& sessions) {
+    const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool) {
   std::vector<DeviceSession*> ordered = ordered_subset(sessions);
-  std::vector<AttestResult> out;
-  out.reserve(ordered.size());
+  std::vector<AttestResult> out(ordered.size());
   // attest() is the per-device subset body: it degrades to an
   // attested = false entry for monitor-less sessions, enrolls CFA
   // sessions on first contact, and takes the per-device locks -- the
   // same semantics per device as the whole-fleet sweep.
-  for (DeviceSession* session : ordered) out.push_back(attest(*session));
-  return out;
-}
-
-std::vector<VerifierService::AttestResult> VerifierService::verify_all(
-    const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool) {
-  std::vector<DeviceSession*> ordered = ordered_subset(sessions);
-  std::vector<AttestResult> out(ordered.size());
   pool.parallel_for(ordered.size(),
                     [&](size_t i) { out[i] = attest(*ordered[i]); });
   return out;

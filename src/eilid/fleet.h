@@ -67,7 +67,13 @@
 // Concurrency model
 // -----------------
 // The fleet engine is built to be driven from a thread pool
-// (common::ThreadPool); the contract is:
+// (common::ThreadPool). Every fleet operation that fans out -- sweeps,
+// rollouts, heartbeat/health/windowed runs, staged rollouts -- is ONE
+// function taking a common::ThreadPool& that defaults to
+// common::ThreadPool::inline_pool(), the zero-worker pool that runs
+// each index in order on the caller's thread. A serial run therefore
+// executes the pooled code path itself, which is why every pooled
+// report is bit-identical to the serial one. The contract is:
 //
 //   Thread-safe (internally synchronized):
 //     - Fleet::build()/provision()/deploy(): the build cache is
@@ -81,7 +87,7 @@
 //       each attestation locks its DeviceSession (per-device locking),
 //       so disjoint devices attest in parallel and the same device is
 //       never attested twice at once. The subset verify_all(sessions)
-//       overloads keep the same contract: a wave gate and a concurrent
+//       keeps the same contract: a wave gate and a concurrent
 //       whole-fleet sweep serialize per device and interleave across
 //       devices.
 //     - apps::run_workload_all(): drives disjoint sessions
@@ -89,25 +95,23 @@
 //     - UpdateCampaign::apply_to()/roll_out(): each device updates
 //       under its own session lock (diff cache shared, internally
 //       locked), so a pooled rollout, a concurrent attestation sweep
-//       and concurrent workload drivers interleave per device; the
-//       pooled rollout's outcomes are identical to the serial one's.
+//       and concurrent workload drivers interleave per device.
 //       The CFG epoch is staged while the device's lock is still held,
 //       so a sweep can never drain an update marker the verifier has
 //       not been told about.
 //     - CampaignScheduler::run(pool): wave applies, probes, gate
 //       sweeps, soak re-sweeps and halt rollbacks all ride the
-//       per-device locks above; the pooled run's report is
-//       bit-identical to the serial run()'s. The scheduler object
+//       per-device locks above. The scheduler object
 //       itself is not shared across threads -- one run at a time per
 //       scheduler.
 //     - IncrementalVerifier::run_until() (src/eilid/incremental.h):
 //       windowed attestation rounds drain bounded slices via
-//       VerifierService::attest_slice under the same per-device
-//       session locks as verify_all, so a rolling window interleaves
-//       safely with heartbeat sweeps, rollouts and workload drivers;
-//       the pooled window's folded summaries are bit-identical to the
-//       serial window's AND to a barrier verify_all over the same
-//       evidence. One run_until at a time per verifier object
+//       VerifierService::attest(session, max_edges) under the same
+//       per-device session locks as verify_all, so a rolling window
+//       interleaves safely with heartbeat sweeps, rollouts and
+//       workload drivers; its folded summaries are bit-identical to a
+//       barrier verify_all over the same evidence. One run_until at a
+//       time per verifier object
 //       (summaries() may be read concurrently).
 //     - HeartbeatScheduler::run_until()/HealthMonitor::run_until():
 //       heartbeat sweeps are verify_all subset sweeps (per-device
@@ -133,9 +137,6 @@
 //       for the *same* id (deploy vs decommission) must be externally
 //       ordered -- a device cannot be retired while it is still being
 //       deployed.
-//
-// The legacy single-device entry points (core::build_app + core::Device)
-// remain as deprecated shims over this layer.
 #ifndef EILID_EILID_FLEET_H
 #define EILID_EILID_FLEET_H
 
@@ -185,7 +186,7 @@ class VerifierService {
     uint32_t dropped = 0;  // evidence lost to on-device log overflow
     std::optional<cfa::LoggedEdge> first_bad;
     // Edges still held on-device after this drain: 0 for the barrier
-    // sweep (which drains everything); a bounded attest_slice() leaves
+    // sweep (which drains everything); a bounded attest() leaves
     // the remainder for the next slice. The incremental verifier uses
     // this to tell a caught-up device from one mid-drain.
     size_t remaining = 0;
@@ -208,30 +209,24 @@ class VerifierService {
   void enroll(DeviceSession& session);
   bool enrolled(const std::string& device_id) const;
 
-  // Challenge one device now: fresh nonce, drain its log, check MAC +
-  // sequence + path. Replay state persists across calls. A session
+  // Challenge one device now: fresh nonce, drain at most `max_edges`
+  // edges of its log (0 = everything), check MAC + sequence + path.
+  // Replay state persists across calls, so a sequence of bounded
+  // slices replays exactly the evidence one full drain would, in
+  // order, and a hijack is convicted at the same edge (see
+  // eilid::IncrementalVerifier, which schedules slices). A session
   // with no CFA monitor is not an error -- there is simply no evidence
   // to collect -- so the result comes back with attested = false
   // (ok() false) and the session is not enrolled.
-  AttestResult attest(DeviceSession& session);
+  AttestResult attest(DeviceSession& session, size_t max_edges = 0);
 
-  // Bounded variant: drain at most `max_edges` edges (0 = everything,
-  // == attest()). Same nonce/MAC/sequence/replay semantics per report
-  // -- a sequence of slices replays exactly the evidence one barrier
-  // drain would, in order, against the same persistent replay state,
-  // so a hijack is convicted at the same edge (see
-  // eilid::IncrementalVerifier, which schedules these). Freshness
-  // bookkeeping counts every slice as an announcement.
-  AttestResult attest_slice(DeviceSession& session, size_t max_edges);
-
-  // Batched sweep over every enrolled device, in enrollment-id order.
-  // The overload fans the sweep out across the pool's workers with
-  // per-device locking; its results are identical to the serial sweep
-  // (same verdicts, same enrollment-id order) because every device's
-  // replay state and sequence window are independent and nonces only
-  // feed the per-report MAC.
-  std::vector<AttestResult> verify_all();
-  std::vector<AttestResult> verify_all(common::ThreadPool& pool);
+  // Batched sweep over every enrolled device, in enrollment-id order,
+  // fanned out across `pool` with per-device locking. The verdicts do
+  // not depend on the pool (same verdicts, same enrollment-id order)
+  // because every device's replay state and sequence window are
+  // independent and nonces only feed the per-report MAC.
+  std::vector<AttestResult> verify_all(
+      common::ThreadPool& pool = common::ThreadPool::inline_pool());
 
   // Subset sweep: attest exactly `sessions` (a rollout wave, a canary
   // cohort) instead of every enrolled device -- devices outside the
@@ -244,13 +239,10 @@ class VerifierService {
   // monitor yields an attested = false entry (never ok()); an
   // un-enrolled CFA session is enrolled on first contact, exactly like
   // attest(). Throws eilid::FleetError on a null session or a
-  // duplicate device id in the subset. The pooled overload fans out
-  // with per-device locking and returns results identical to the
-  // serial subset sweep.
+  // duplicate device id in the subset.
   std::vector<AttestResult> verify_all(
-      const std::vector<DeviceSession*>& sessions);
-  std::vector<AttestResult> verify_all(
-      const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool);
+      const std::vector<DeviceSession*>& sessions,
+      common::ThreadPool& pool = common::ThreadPool::inline_pool());
 
   // Forget a device (its session is going away). Must not race a
   // sweep or attest() of the same device.
@@ -261,24 +253,6 @@ class VerifierService {
   // clock at construction; call at most once, before any attestation --
   // the pointer must outlive the service.
   void attach_clock(const FleetClock* clock) { clock_ = clock; }
-
-  // Freshness bookkeeping, updated on every sweep that touches the
-  // device (attest/verify_all/subset gates alike): when evidence last
-  // arrived and when it last verified clean. The eilid::HealthMonitor
-  // layers staleness thresholds and quarantine on top of these.
-  struct Freshness {
-    Tick last_attested_tick = 0;  // evidence last collected (any verdict)
-    Tick last_ok_tick = 0;        // verdict last came back ok()
-    uint32_t reports = 0;         // attestations performed
-    bool ever_attested = false;
-    bool ever_ok = false;
-    bool convicted = false;  // most recent verdict was a conviction
-
-    bool operator==(const Freshness&) const = default;
-  };
-  // Freshness for one device id (value-initialized when the device has
-  // never been swept). Safe against concurrent sweeps.
-  Freshness freshness(const std::string& device_id) const;
 
   // Sanction the code change `session` just logged: stage a replay-CFG
   // swap to the CFG of the session's *current* build (shared via the
@@ -309,11 +283,9 @@ class VerifierService {
   // `max_edges` bounds the drain (0 = everything).
   AttestResult attest_device(DeviceState& state, DeviceSession& session,
                              size_t max_edges);
-  AttestResult attest_with_budget(DeviceSession& session, size_t max_edges);
   std::vector<DeviceState*> sweep_snapshot();
   // Validated copy of a subset in enrollment-id order (throws on null
-  // pointers and duplicate ids) -- the one definition both subset
-  // sweep flavors share.
+  // pointers and duplicate ids).
   static std::vector<DeviceSession*> ordered_subset(
       const std::vector<DeviceSession*>& sessions);
 
@@ -334,10 +306,6 @@ class VerifierService {
   std::atomic<uint64_t> nonce_counter_{1};
 
   const FleetClock* clock_ = nullptr;  // set once, before attestation
-  // Guarded by fresh_mu_, not the per-device session lock: freshness is
-  // read by health monitors while sweeps are in flight elsewhere.
-  mutable std::mutex fresh_mu_;
-  std::map<std::string, Freshness> freshness_;
 };
 
 struct FleetOptions {

@@ -24,17 +24,8 @@ Tick HeartbeatScheduler::phase_for(const std::string& device_id) const {
   return static_cast<Tick>(rng.below(options_.jitter + 1));
 }
 
-HeartbeatReport HeartbeatScheduler::run_until(Tick deadline) {
-  return run(deadline, nullptr);
-}
-
 HeartbeatReport HeartbeatScheduler::run_until(Tick deadline,
                                               common::ThreadPool& pool) {
-  return run(deadline, &pool);
-}
-
-HeartbeatReport HeartbeatScheduler::run(Tick deadline,
-                                        common::ThreadPool* pool) {
   FleetClock& clock = fleet_->clock();
   HeartbeatReport report;
   report.from = clock.now();
@@ -105,9 +96,7 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
       }
     }
     if (!online.empty()) {
-      beat.verdicts = pool == nullptr
-                          ? fleet_->verifier().verify_all(online)
-                          : fleet_->verifier().verify_all(online, *pool);
+      beat.verdicts = fleet_->verifier().verify_all(online, pool);
     }
 
     {
@@ -223,15 +212,6 @@ std::vector<QuarantineEntry> HealthMonitor::quarantined() const {
   return out;
 }
 
-HealthReport HealthMonitor::run_until(Tick deadline) {
-  return run(deadline, nullptr);
-}
-
-HealthReport HealthMonitor::run_until(Tick deadline,
-                                      common::ThreadPool& pool) {
-  return run(deadline, &pool);
-}
-
 RemediationOutcome HealthMonitor::remediate_one(const QuarantineEntry& entry,
                                                 Tick now) {
   RemediationOutcome out;
@@ -265,10 +245,10 @@ RemediationOutcome HealthMonitor::remediate_one(const QuarantineEntry& entry,
   return out;
 }
 
-HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
+HealthReport HealthMonitor::run_until(Tick deadline,
+                                      common::ThreadPool& pool) {
   HealthReport report;
-  report.heartbeats = pool == nullptr ? scheduler_.run_until(deadline)
-                                      : scheduler_.run_until(deadline, *pool);
+  report.heartbeats = scheduler_.run_until(deadline, pool);
   const Tick now = fleet_->clock().now();
 
   // Assess every watched device against the policy; latch new
@@ -329,20 +309,14 @@ HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
   }
 
   // Remediate (campaign staged only): one attempt per quarantined
-  // device, outcomes indexed by sorted id so the pooled pass is
-  // bit-identical to the serial one (each device's outcome depends on
-  // its own state alone; the clock does not advance mid-pass).
+  // device, outcomes indexed by sorted id so the pass does not depend
+  // on the pool (each device's outcome depends on its own state alone;
+  // the clock does not advance mid-pass).
   if (!to_remediate.empty()) {
     std::vector<RemediationOutcome> outcomes(to_remediate.size());
-    if (pool == nullptr) {
-      for (size_t i = 0; i < to_remediate.size(); ++i) {
-        outcomes[i] = remediate_one(to_remediate[i], now);
-      }
-    } else {
-      pool->parallel_for(to_remediate.size(), [&](size_t i) {
-        outcomes[i] = remediate_one(to_remediate[i], now);
-      });
-    }
+    pool.parallel_for(to_remediate.size(), [&](size_t i) {
+      outcomes[i] = remediate_one(to_remediate[i], now);
+    });
     std::lock_guard<std::mutex> lock(mu_);
     const uint32_t max_attempts = options_.policy.max_heal_attempts;
     for (const RemediationOutcome& outcome : outcomes) {

@@ -42,12 +42,12 @@
 //   // stale/convicted devices are already quarantined, reset,
 //   // re-updated and re-attested -- report says exactly what healed.
 //
-// Concurrency contract: run_until(pool) fans each beat's sweep and the
-// remediation pass out with the same per-device DeviceSession::mutex()
-// locking as VerifierService::verify_all and UpdateCampaign::apply_to;
-// its HealthReport is bit-identical to the serial run_until()'s, and
-// repeated runs at the same seed and clock schedule are bit-identical
-// to each other. Remediation can never race an in-flight campaign on a
+// Concurrency contract: run_until(deadline, pool) fans each beat's
+// sweep and the remediation pass out over `pool` (the inline pool by
+// default) with the same per-device DeviceSession::mutex() locking as
+// VerifierService::verify_all and UpdateCampaign::apply_to; its
+// HealthReport does not depend on the pool, and repeated runs at the
+// same seed and clock schedule are bit-identical to each other. Remediation can never race an in-flight campaign on a
 // device: both funnel through UpdateCampaign::apply_to, which holds the
 // device's session mutex from package verification through CFG-epoch
 // staging, so the two updates serialize per device and each one's
@@ -96,8 +96,8 @@ struct HeartbeatOptions {
 };
 
 // Everything the quarantine decision may consult, per device. Owned by
-// the HeartbeatScheduler; mirrors (and is cross-checkable against) the
-// verifier's own VerifierService::Freshness bookkeeping.
+// the HeartbeatScheduler and folded from the stamped verdicts
+// (AttestResult::tick) of its own beats.
 struct FreshnessRecord {
   std::string device_id;
   Tick enrolled_tick = 0;       // when the scheduler first saw the device
@@ -146,11 +146,12 @@ class HeartbeatScheduler {
 
   // Advance fleet time to `deadline`, firing every due heartbeat on the
   // way in deterministic (tick, device-id) order. Each beat sweeps the
-  // online due devices via the verifier's subset sweep (per-device
-  // locking; the pooled overload fans the sweep out and returns a
-  // bit-identical report) and updates the freshness records.
-  HeartbeatReport run_until(Tick deadline);
-  HeartbeatReport run_until(Tick deadline, common::ThreadPool& pool);
+  // online due devices via the verifier's subset sweep over `pool`
+  // (per-device locking; the report does not depend on the pool) and
+  // updates the freshness records.
+  HeartbeatReport run_until(
+      Tick deadline,
+      common::ThreadPool& pool = common::ThreadPool::inline_pool());
 
   // Snapshot of every watched device's record, sorted by device id.
   std::vector<FreshnessRecord> records() const;
@@ -165,7 +166,6 @@ class HeartbeatScheduler {
   const HeartbeatOptions& options() const { return options_; }
 
  private:
-  HeartbeatReport run(Tick deadline, common::ThreadPool* pool);
   Tick phase_for(const std::string& device_id) const;
 
   Fleet* fleet_;
@@ -265,9 +265,11 @@ class HealthMonitor {
   // Advance fleet time to `deadline`: heartbeats fire on cadence,
   // stale/convicted devices enter quarantine, and every quarantined
   // device gets one remediation attempt (when a campaign is staged).
-  // The pooled overload returns a bit-identical report.
-  HealthReport run_until(Tick deadline);
-  HealthReport run_until(Tick deadline, common::ThreadPool& pool);
+  // Sweeps and remediations fan out over `pool`; the report does not
+  // depend on it.
+  HealthReport run_until(
+      Tick deadline,
+      common::ThreadPool& pool = common::ThreadPool::inline_pool());
 
   // Stage the campaign remediation re-updates devices with (normally
   // Fleet::stage_update onto the fleet's golden build). Until one is
@@ -280,7 +282,6 @@ class HealthMonitor {
   const HealthOptions& options() const { return options_; }
 
  private:
-  HealthReport run(Tick deadline, common::ThreadPool* pool);
   RemediationOutcome remediate_one(const QuarantineEntry& entry, Tick now);
 
   Fleet* fleet_;

@@ -27,12 +27,13 @@
 //     bit-identical summary (tests/test_fleet_scale.cpp and
 //     bench_fleet_10k gate this, serial and pooled).
 //
-// Concurrency contract: run_until(pool) fans each round's slices out
-// with the same per-device DeviceSession::mutex() locking as
+// Concurrency contract: run_until(deadline, pool) fans each round's
+// slices out over `pool` (the inline pool by default) with the same
+// per-device DeviceSession::mutex() locking as
 // VerifierService::verify_all, so rounds interleave safely with
-// heartbeat sweeps, rollouts and workload drivers; the pooled report
-// is bit-identical to the serial one (slices are written by round
-// index; each device's evidence and replay state are private to it).
+// heartbeat sweeps, rollouts and workload drivers; the report does not
+// depend on the pool (slices are written by round index; each device's
+// evidence and replay state are private to it).
 // Like the other schedulers, the object itself is single-driver: one
 // run_until at a time, though summaries()/summary() may be read
 // concurrently.
@@ -120,15 +121,15 @@ class IncrementalVerifier {
   // Advance fleet time to `deadline`, firing a round every `period`
   // ticks on the way: rotate to the next max_devices_per_tick online
   // devices, drain at most max_bytes_per_slice from each
-  // (VerifierService::attest_slice -- per-device locks, freshness
-  // bookkeeping, replay state all shared with the barrier sweeps), and
-  // fold every verdict into the per-device summaries. The pooled
-  // overload returns a bit-identical report. If another scheduler
-  // advanced the clock past the pending round between calls, the
-  // cadence re-anchors at the current tick (no backlog of degenerate
-  // rounds is replayed).
-  WindowReport run_until(Tick deadline);
-  WindowReport run_until(Tick deadline, common::ThreadPool& pool);
+  // (VerifierService::attest(session, max_edges) -- per-device locks
+  // and replay state shared with the barrier sweeps), fanned out over
+  // `pool`, and fold every verdict into the per-device summaries. If
+  // another scheduler advanced the clock past the pending round between
+  // calls, the cadence re-anchors at the current tick (no backlog of
+  // degenerate rounds is replayed).
+  WindowReport run_until(
+      Tick deadline,
+      common::ThreadPool& pool = common::ThreadPool::inline_pool());
 
   // Folded summaries, sorted by device id / for one device
   // (value-initialized when the rotation never reached it).
@@ -142,8 +143,6 @@ class IncrementalVerifier {
   const IncrementalOptions& options() const { return options_; }
 
  private:
-  WindowReport run(Tick deadline, common::ThreadPool* pool);
-
   Fleet* fleet_;
   IncrementalOptions options_;
   mutable std::mutex mu_;  // guards summaries_ against concurrent readers

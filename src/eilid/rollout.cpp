@@ -109,30 +109,24 @@ CampaignScheduler::Resolved CampaignScheduler::resolve() const {
 }
 
 std::vector<UpdateOutcome> CampaignScheduler::apply_wave(
-    const std::vector<DeviceSession*>& wave, common::ThreadPool* pool) {
+    const std::vector<DeviceSession*>& wave, common::ThreadPool& pool) {
   std::vector<UpdateOutcome> out(wave.size());
-  if (pool == nullptr) {
-    for (size_t i = 0; i < wave.size(); ++i) {
-      out[i] = campaign_.apply_to(*wave[i]);
-    }
-    return out;
-  }
   // Rate limit: at most max_in_flight devices mid-update at once --
   // the wave is fed to the pool in chunks. Chunking only changes
   // scheduling, never outcomes (each device's result depends on its
-  // own state alone), so pooled stays outcome-identical to serial.
+  // own state alone).
   const size_t limit = plan_.max_in_flight == 0 ? wave.size()
                                                 : plan_.max_in_flight;
   for (size_t base = 0; base < wave.size(); base += limit) {
     const size_t chunk = std::min(limit, wave.size() - base);
-    pool->parallel_for(chunk, [&](size_t i) {
+    pool.parallel_for(chunk, [&](size_t i) {
       out[base + i] = campaign_.apply_to(*wave[base + i]);
     });
   }
   return out;
 }
 
-RolloutReport CampaignScheduler::execute(common::ThreadPool* pool) {
+RolloutReport CampaignScheduler::run(common::ThreadPool& pool) {
   const Resolved resolved = resolve();
   FleetClock& clock = fleet_->clock();
   RolloutReport report;
@@ -172,11 +166,9 @@ RolloutReport CampaignScheduler::execute(common::ThreadPool* pool) {
     if (plan_.soak_ticks > 0) {
       // Immediate post-apply sweep: the update itself must already
       // attest clean before the wave earns its soak window.
-      wave.soak_gate = pool == nullptr
-                           ? fleet_->verifier().verify_all(members)
-                           : fleet_->verifier().verify_all(members, *pool);
+      wave.soak_gate = fleet_->verifier().verify_all(members, pool);
     }
-    if (plan_.probe) plan_.probe(members, pool);
+    if (plan_.probe) plan_.probe(members, &pool);
     if (plan_.soak_ticks > 0) {
       // Soak: let the probed (new) firmware age for soak_ticks of
       // fleet time, then re-sweep. Evidence produced *since* the first
@@ -186,9 +178,7 @@ RolloutReport CampaignScheduler::execute(common::ThreadPool* pool) {
       clock.advance(plan_.soak_ticks);
       wave.soaked_until = clock.now();
     }
-    wave.gate = pool == nullptr
-                    ? fleet_->verifier().verify_all(members)
-                    : fleet_->verifier().verify_all(members, *pool);
+    wave.gate = fleet_->verifier().verify_all(members, pool);
     wave.gated_tick = clock.now();
 
     // A device fails its wave on a rejected/refused update or a
@@ -229,7 +219,7 @@ void CampaignScheduler::roll_back(
     const std::vector<std::vector<DeviceSession*>>& waves,
     const std::map<DeviceSession*,
                    std::shared_ptr<const core::BuildResult>>& prior_builds,
-    common::ThreadPool* pool) {
+    common::ThreadPool& pool) {
   report.rolled_back = true;
   report.rollback_tick = fleet_->clock().now();
 
@@ -247,7 +237,6 @@ void CampaignScheduler::roll_back(
     if (!wave.applied) continue;
     const std::vector<DeviceSession*>& members = waves[w];
     wave.rollbacks.resize(members.size());
-    wave.rolled_back.assign(members.size(), false);
 
     const size_t limit =
         plan_.max_in_flight == 0 ? members.size() : plan_.max_in_flight;
@@ -258,8 +247,6 @@ void CampaignScheduler::roll_back(
         UpdateCampaign& campaign = reverse.at(
             prior_builds.at(session).get());
         wave.rollbacks[base + i] = campaign.apply_to(*session);
-        wave.rolled_back[base + i] =
-            wave.rollbacks[base + i].build_swapped;
       };
       // Stage the chunk's campaigns before fanning out (the map must
       // not rehash under concurrent readers).
@@ -270,19 +257,15 @@ void CampaignScheduler::roll_back(
                           fleet_->stage_update(prior, campaign_.options()));
         }
       }
-      if (pool == nullptr) {
-        for (size_t i = 0; i < chunk; ++i) reverse_one(i);
-      } else {
-        pool->parallel_for(chunk, reverse_one);
-      }
+      pool.parallel_for(chunk, reverse_one);
+    }
+    // Filled after the fan-out: concurrent writes to neighbouring
+    // std::vector<bool> elements would race on the shared word.
+    wave.rolled_back.reserve(members.size());
+    for (const UpdateOutcome& rollback : wave.rollbacks) {
+      wave.rolled_back.push_back(rollback.build_swapped);
     }
   }
-}
-
-RolloutReport CampaignScheduler::run() { return execute(nullptr); }
-
-RolloutReport CampaignScheduler::run(common::ThreadPool& pool) {
-  return execute(&pool);
 }
 
 }  // namespace eilid

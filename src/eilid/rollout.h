@@ -52,12 +52,13 @@
 //   if (report.halted) { /* canary burned; the fleet rolled back */ }
 //
 // Concurrency contract: run(pool) applies updates, probes and gates
-// over the pool with the same per-device locking as
-// UpdateCampaign::roll_out() and VerifierService::verify_all(); its
-// report is bit-identical to the serial run()'s -- wave membership is
-// resolved up front from the plan and the registry snapshot, every
-// per-device outcome depends only on that device's own state, and the
-// halt decision is a pure function of the per-wave verdicts.
+// over the pool (the inline pool by default) with the same per-device
+// locking as UpdateCampaign::roll_out() and
+// VerifierService::verify_all(); its report does not depend on the
+// pool -- wave membership is resolved up front from the plan and the
+// registry snapshot, every per-device outcome depends only on that
+// device's own state, and the halt decision is a pure function of the
+// per-wave verdicts.
 #ifndef EILID_EILID_ROLLOUT_H
 #define EILID_EILID_ROLLOUT_H
 
@@ -110,9 +111,10 @@ struct HoldSpec {
 
 // Runs between a wave's apply and its attestation gate -- normally a
 // workload driver (see apps::wave_workload) so freshly updated devices
-// produce post-update evidence for the gate to judge. `pool` is null
-// on a serial run. The probe must take each session's mutex() while
-// driving it (apps::wave_workload does).
+// produce post-update evidence for the gate to judge. `pool` is the
+// run's pool and never null (a serial run passes the inline pool).
+// The probe must take each session's mutex() while driving it
+// (apps::wave_workload does).
 using WaveProbe =
     std::function<void(const std::vector<DeviceSession*>&,
                        common::ThreadPool*)>;
@@ -122,7 +124,8 @@ struct RolloutPlan {
   FailureBudget budget;
   std::vector<HoldSpec> holds;
   // Max devices being updated at once within a wave (0 = no limit
-  // beyond the pool's width). Serial runs are inherently 1-in-flight.
+  // beyond the pool's width). The inline pool is inherently
+  // 1-in-flight.
   size_t max_in_flight = 0;
   WaveProbe probe;  // optional
   // Soak window: after a wave applies (and passes its immediate
@@ -194,8 +197,8 @@ class CampaignScheduler {
   const RolloutPlan& plan() const { return plan_; }
   const UpdateCampaign& campaign() const { return campaign_; }
 
-  RolloutReport run();
-  RolloutReport run(common::ThreadPool& pool);
+  RolloutReport run(
+      common::ThreadPool& pool = common::ThreadPool::inline_pool());
 
  private:
   friend class Fleet;
@@ -206,9 +209,8 @@ class CampaignScheduler {
     std::vector<std::string> held;
   };
   Resolved resolve() const;
-  RolloutReport execute(common::ThreadPool* pool);
   std::vector<UpdateOutcome> apply_wave(
-      const std::vector<DeviceSession*>& wave, common::ThreadPool* pool);
+      const std::vector<DeviceSession*>& wave, common::ThreadPool& pool);
   // Reverse every swapped device in `touched` (session -> the build it
   // ran before its wave) back onto that prior build, filling each
   // wave's rollbacks/rolled_back slots. Runs under the same chunked
@@ -218,7 +220,7 @@ class CampaignScheduler {
       const std::vector<std::vector<DeviceSession*>>& waves,
       const std::map<DeviceSession*,
                      std::shared_ptr<const core::BuildResult>>& prior_builds,
-      common::ThreadPool* pool);
+      common::ThreadPool& pool);
 
   Fleet* fleet_;
   UpdateCampaign campaign_;

@@ -168,20 +168,8 @@ UpdateOutcome UpdateCampaign::apply_to(DeviceSession& session) {
   return apply_locked(session);
 }
 
-std::vector<UpdateOutcome> UpdateCampaign::roll_out() {
-  return roll_out(fleet_->sessions());
-}
-
 std::vector<UpdateOutcome> UpdateCampaign::roll_out(common::ThreadPool& pool) {
   return roll_out(fleet_->sessions(), pool);
-}
-
-std::vector<UpdateOutcome> UpdateCampaign::roll_out(
-    const std::vector<DeviceSession*>& sessions) {
-  std::vector<UpdateOutcome> out;
-  out.reserve(sessions.size());
-  for (DeviceSession* session : sessions) out.push_back(apply_to(*session));
-  return out;
 }
 
 std::vector<UpdateOutcome> UpdateCampaign::roll_out(

@@ -140,8 +140,8 @@ struct CampaignOptions {
 // by Fleet::stage_update(); cheap to copy (copies share the diff
 // cache). Thread-safe: apply_to() takes the per-device session mutex,
 // so a pooled roll_out() and a concurrent attestation sweep interleave
-// per device without racing, and the pooled rollout's outcomes are
-// identical to the serial one's, in input order.
+// per device without racing, and roll_out()'s outcomes come back in
+// input order whatever the pool.
 class UpdateCampaign {
  public:
   const std::shared_ptr<const core::BuildResult>& target_build() const {
@@ -162,14 +162,13 @@ class UpdateCampaign {
   UpdateOutcome apply_to(DeviceSession& session);
 
   // Roll the campaign out across the whole fleet (deployment order) or
-  // a chosen subset -- serially, or fanned out over a pool with
-  // per-device locking.
-  std::vector<UpdateOutcome> roll_out();
-  std::vector<UpdateOutcome> roll_out(common::ThreadPool& pool);
+  // a chosen subset, fanned out over `pool` (the inline pool by
+  // default) with per-device locking.
   std::vector<UpdateOutcome> roll_out(
-      const std::vector<DeviceSession*>& sessions);
+      common::ThreadPool& pool = common::ThreadPool::inline_pool());
   std::vector<UpdateOutcome> roll_out(
-      const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool);
+      const std::vector<DeviceSession*>& sessions,
+      common::ThreadPool& pool = common::ThreadPool::inline_pool());
 
  private:
   friend class Fleet;

@@ -3,12 +3,14 @@
 // EILID device -- the paper's central claim.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "apps/apps.h"
 #include "common/error.h"
 #include "attacks/attack.h"
 #include "attacks/gadgets.h"
-#include "eilid/device.h"
 #include "eilid/pipeline.h"
+#include "eilid/session.h"
 
 namespace eilid {
 namespace {
@@ -17,9 +19,10 @@ using sim::ResetReason;
 
 TEST(AttackP1, ExploitHijacksPlainDevice) {
   const auto& app = apps::vuln_gateway();
-  core::BuildResult build = core::build_app(app.source, app.name,
-                                            {.eilid = false});
-  core::Device device(build, {.halt_on_reset = true});
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(app.source, app.name, {.eilid = false}));
+  DeviceSession device(app.name, build, EnforcementPolicy::kCasu,
+                       {.halt_on_reset = true});
   device.machine().uart().feed(
       attacks::overflow_ret_payload(device.symbol("unlock")));
   device.run_to_symbol("halt", 200000);
@@ -29,8 +32,10 @@ TEST(AttackP1, ExploitHijacksPlainDevice) {
 
 TEST(AttackP1, ExploitStoppedOnEilidDevice) {
   const auto& app = apps::vuln_gateway();
-  core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build, {.halt_on_reset = true});
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(app.source, app.name));
+  DeviceSession device(app.name, build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().uart().feed(
       attacks::overflow_ret_payload(device.symbol("unlock")));
   auto r = device.run_to_symbol("halt", 200000);
@@ -43,8 +48,10 @@ TEST(AttackP1, ExploitStoppedOnEilidDevice) {
 
 TEST(AttackP1, BenignTrafficUnaffected) {
   const auto& app = apps::vuln_gateway();
-  core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build, {.halt_on_reset = true});
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(app.source, app.name));
+  DeviceSession device(app.name, build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().uart().feed(attacks::benign_payload());
   auto r = device.run_to_symbol("halt", 200000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);
@@ -53,14 +60,16 @@ TEST(AttackP1, BenignTrafficUnaffected) {
 
 TEST(AttackP2, IsrContextTamperCaughtByEilid) {
   const auto& app = apps::app_by_name("light_sensor");
-  core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build, {.halt_on_reset = true});
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(app.source, app.name));
+  DeviceSession device(app.name, build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   app.setup(device.machine());
 
   attacks::AttackEngine engine(device.machine());
   attacks::Attack attack;
   attack.trigger = {attacks::Trigger::Kind::kAtPc,
-                    build.rom.unit.symbols.at("S_EILID_store_rfi"), 1};
+                    build->rom.unit.symbols.at("S_EILID_store_rfi"), 1};
   attacks::MemWrite w;
   w.sp_relative = true;
   w.addr = 8;  // saved interrupt PC (below veneer RA + saved r6/r7 + SR)
@@ -77,8 +86,10 @@ TEST(AttackP2, IsrContextTamperCaughtByEilid) {
 
 TEST(AttackP3, UnregisteredTargetCaught) {
   const auto& app = apps::vuln_gateway();
-  core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build, {.halt_on_reset = true});
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(app.source, app.name));
+  DeviceSession device(app.name, build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().uart().feed(attacks::benign_payload());
 
   attacks::AttackEngine engine(device.machine());
@@ -97,8 +108,10 @@ TEST(AttackP3, RegisteredTargetAllowedFunctionLevelGranularity) {
   // The paper's acknowledged limitation: redirecting to another entry
   // *in the table* is not detected.
   const auto& app = apps::vuln_gateway();
-  core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build, {.halt_on_reset = true});
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(app.source, app.name));
+  DeviceSession device(app.name, build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().uart().feed(attacks::benign_payload());
 
   attacks::AttackEngine engine(device.machine());
@@ -114,8 +127,9 @@ TEST(AttackP3, RegisteredTargetAllowedFunctionLevelGranularity) {
 
 TEST(AttackEngine, RefusesNonRamTargets) {
   const auto& app = apps::vuln_gateway();
-  core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build);
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(app.source, app.name));
+  DeviceSession device(app.name, build, EnforcementPolicy::kEilidHw);
   attacks::AttackEngine engine(device.machine());
   attacks::Attack attack;
   attack.writes = {{0xE000, 0xDEAD, false, false}};  // PMEM
@@ -145,8 +159,10 @@ TEST(Attacks, DeviceRebootsCleanAfterEnforcement) {
   // After an enforcement reset the device must run normally again
   // (CASU heals by reset; state is wiped).
   const auto& app = apps::vuln_gateway();
-  core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build);  // halt_on_reset = false: let it reboot
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(app.source, app.name));
+  // halt_on_reset = false: let it reboot
+  DeviceSession device(app.name, build, EnforcementPolicy::kEilidHw);
   device.machine().uart().feed(
       attacks::overflow_ret_payload(device.symbol("unlock")));
   device.machine().uart().feed(attacks::benign_payload());

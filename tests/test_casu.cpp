@@ -6,8 +6,8 @@
 
 #include "casu/monitor.h"
 #include "casu/update.h"
-#include "eilid/device.h"
 #include "eilid/pipeline.h"
+#include "eilid/session.h"
 #include "masm/assembler.h"
 
 namespace eilid::casu {
@@ -98,7 +98,9 @@ TEST(Casu, RomEntryGateEnforced) {
   core::BuildResult attack = core::build_app(attack_src, "gate2",
                                              {.eilid = false});
   attack.rom = build.rom;  // same trusted ROM
-  core::Device device(attack, {.halt_on_reset = true});
+  DeviceSession device(
+      "gate2", std::make_shared<const core::BuildResult>(std::move(attack)),
+      EnforcementPolicy::kEilidHw, {.halt_on_reset = true});
   auto r = device.machine().run(1000);
   EXPECT_EQ(r.cause, sim::StopCause::kDeviceReset);
   EXPECT_EQ(device.machine().resets().back().reason,
@@ -106,11 +108,12 @@ TEST(Casu, RomEntryGateEnforced) {
 }
 
 TEST(Casu, RomEntryThroughStubIsLegal) {
-  core::BuildResult build = core::build_app(
+  auto build = std::make_shared<const core::BuildResult>(core::build_app(
       ".org 0xe000\nmain:\n    mov #0x1000, r1\n    call #foo\nhalt:\n"
       "    jmp halt\nfoo:\n    ret\n.vector 15, main\n.end\n",
-      "legal");
-  core::Device device(build, {.halt_on_reset = true});
+      "legal"));
+  DeviceSession device("legal", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   auto r = device.run_to_symbol("halt", 5000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);
   EXPECT_EQ(device.machine().violation_count(), 0u);
@@ -119,15 +122,16 @@ TEST(Casu, RomEntryThroughStubIsLegal) {
 class UpdateTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    build_ = core::build_app(
+    build_ = std::make_shared<const core::BuildResult>(core::build_app(
         ".org 0xe000\nmain:\n    mov #0x1000, r1\nhalt:\n    jmp halt\n"
         ".vector 15, main\n.end\n",
-        "app");
-    device_ = std::make_unique<core::Device>(build_);
+        "app"));
+    device_ = std::make_unique<DeviceSession>("app", build_,
+                                              EnforcementPolicy::kEilidHw);
     // Receiver side is bound to the device's machine and monitor at
     // construction: there is no way to aim it at another machine.
     engine_ = std::make_unique<UpdateEngine>(key_span(), device_->machine(),
-                                             &device_->monitor());
+                                             device_->hw_monitor());
   }
 
   std::span<const uint8_t> key_span() const {
@@ -135,8 +139,8 @@ class UpdateTest : public ::testing::Test {
   }
 
   std::vector<uint8_t> key_ = std::vector<uint8_t>(32, 0x77);
-  core::BuildResult build_;
-  std::unique_ptr<core::Device> device_;
+  std::shared_ptr<const core::BuildResult> build_;
+  std::unique_ptr<DeviceSession> device_;
   std::unique_ptr<UpdateEngine> engine_;
 };
 
@@ -209,8 +213,8 @@ TEST_F(UpdateTest, WrongKeyRejected) {
 // per host. Updating one device must never advance (or be blocked by)
 // another device's version state.
 TEST_F(UpdateTest, VersionStateIsPerDevice) {
-  core::Device other(build_);
-  UpdateEngine other_engine(key_span(), other.machine(), &other.monitor());
+  DeviceSession other("other", build_, EnforcementPolicy::kEilidHw);
+  UpdateEngine other_engine(key_span(), other.machine(), other.hw_monitor());
   UpdateAuthority authority(key_span());
 
   // Device A reaches version 3.

@@ -2,12 +2,14 @@
 // replay verification, overflow accounting and reset-marker handling.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "apps/apps.h"
 #include "attacks/attack.h"
 #include "cfa/attestation.h"
 #include "cfa/cfg.h"
-#include "eilid/device.h"
 #include "eilid/pipeline.h"
+#include "eilid/session.h"
 
 namespace eilid::cfa {
 namespace {
@@ -18,18 +20,19 @@ crypto::Digest key() {
   return k;
 }
 
-core::BuildResult plain_build(const apps::AppSpec& app) {
-  return core::build_app(app.source, app.name, {.eilid = false});
+std::shared_ptr<const core::BuildResult> plain_build(const apps::AppSpec& app) {
+  return std::make_shared<const core::BuildResult>(
+      core::build_app(app.source, app.name, {.eilid = false}));
 }
 
 TEST(Cfg, ExtractsSitesFromVulnGateway) {
   auto build = plain_build(apps::vuln_gateway());
-  Cfg cfg = extract_cfg(build.app);
+  Cfg cfg = extract_cfg(build->app);
   EXPECT_GT(cfg.code_addrs.size(), 20u);
   EXPECT_GE(cfg.call_sites.size(), 4u);  // recv_packet, read_byte x2, act...
   EXPECT_GE(cfg.ret_addrs.size(), 4u);
   EXPECT_GE(cfg.jump_edges.size(), 3u);
-  EXPECT_EQ(cfg.reset_entry, build.app.symbols.at("main"));
+  EXPECT_EQ(cfg.reset_entry, build->app.symbols.at("main"));
   // Indirect-call site exists (call r13 in act).
   bool has_indirect = false;
   for (const auto& [addr, site] : cfg.call_sites) {
@@ -37,17 +40,17 @@ TEST(Cfg, ExtractsSitesFromVulnGateway) {
   }
   EXPECT_TRUE(has_indirect);
   // .func blink is a legal target.
-  EXPECT_TRUE(cfg.call_targets.count(build.app.symbols.at("blink")));
+  EXPECT_TRUE(cfg.call_targets.count(build->app.symbols.at("blink")));
 }
 
 TEST(Cfa, LegalRunVerifiesAcrossReports) {
   const auto& app = apps::app_by_name("temp_sensor");
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device(app.name, build, EnforcementPolicy::kCasu);
   CfaMonitor monitor(key(), {.log_capacity = 1u << 16});
   device.machine().add_monitor(&monitor);
   app.setup(device.machine());
-  CfaVerifier verifier(extract_cfg(build.app), key());
+  CfaVerifier verifier(extract_cfg(build->app), key());
 
   uint64_t nonce = 100;
   for (int slice = 0; slice < 6; ++slice) {
@@ -63,7 +66,7 @@ TEST(Cfa, LegalRunVerifiesAcrossReports) {
 TEST(Cfa, LegalIsrRunVerifies) {
   const auto& app = apps::app_by_name("light_sensor");
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device(app.name, build, EnforcementPolicy::kCasu);
   CfaMonitor monitor(key(), {.log_capacity = 1u << 16});
   device.machine().add_monitor(&monitor);
   app.setup(device.machine());
@@ -73,7 +76,7 @@ TEST(Cfa, LegalIsrRunVerifies) {
   bool saw_irq = false;
   for (const auto& e : report.edges) saw_irq = saw_irq || e.irq;
   EXPECT_TRUE(saw_irq) << "timer ISR edges must be logged";
-  CfaVerifier verifier(extract_cfg(build.app), key());
+  CfaVerifier verifier(extract_cfg(build->app), key());
   auto result = verifier.verify(report, 5);
   EXPECT_TRUE(result.mac_ok);
   EXPECT_TRUE(result.path_ok);
@@ -82,7 +85,7 @@ TEST(Cfa, LegalIsrRunVerifies) {
 TEST(Cfa, HijackDetectedInReplay) {
   const auto& app = apps::vuln_gateway();
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device(app.name, build, EnforcementPolicy::kCasu);
   CfaMonitor monitor(key(), {.log_capacity = 1u << 16});
   device.machine().add_monitor(&monitor);
   uint16_t unlock = device.symbol("unlock");
@@ -90,7 +93,7 @@ TEST(Cfa, HijackDetectedInReplay) {
   device.run_to_symbol("halt", 200000);
 
   Report report = monitor.take_report(6, device.machine().cycles());
-  CfaVerifier verifier(extract_cfg(build.app), key());
+  CfaVerifier verifier(extract_cfg(build->app), key());
   auto result = verifier.verify(report, 6);
   EXPECT_TRUE(result.mac_ok);
   EXPECT_FALSE(result.path_ok);
@@ -101,7 +104,7 @@ TEST(Cfa, HijackDetectedInReplay) {
 TEST(Cfa, TamperedReportFailsMac) {
   const auto& app = apps::app_by_name("temp_sensor");
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device(app.name, build, EnforcementPolicy::kCasu);
   CfaMonitor monitor(key(), {});
   device.machine().add_monitor(&monitor);
   app.setup(device.machine());
@@ -109,7 +112,7 @@ TEST(Cfa, TamperedReportFailsMac) {
   Report report = monitor.take_report(7, device.machine().cycles());
   ASSERT_FALSE(report.edges.empty());
   report.edges[0].to ^= 4;  // a compromised prover rewrites history
-  CfaVerifier verifier(extract_cfg(build.app), key());
+  CfaVerifier verifier(extract_cfg(build->app), key());
   auto result = verifier.verify(report, 7);
   EXPECT_FALSE(result.mac_ok);
 }
@@ -117,19 +120,19 @@ TEST(Cfa, TamperedReportFailsMac) {
 TEST(Cfa, WrongNonceFailsMac) {
   const auto& app = apps::app_by_name("temp_sensor");
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device(app.name, build, EnforcementPolicy::kCasu);
   CfaMonitor monitor(key(), {});
   device.machine().add_monitor(&monitor);
   device.machine().run(2000);
   Report report = monitor.take_report(8, device.machine().cycles());
-  CfaVerifier verifier(extract_cfg(build.app), key());
+  CfaVerifier verifier(extract_cfg(build->app), key());
   EXPECT_FALSE(verifier.verify(report, 9).mac_ok);  // replayed old report
 }
 
 TEST(Cfa, OverflowDropsAreCounted) {
   const auto& app = apps::app_by_name("charlieplexing");
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device(app.name, build, EnforcementPolicy::kCasu);
   CfaMonitor monitor(key(), {.log_capacity = 16});
   device.machine().add_monitor(&monitor);
   device.run_to_symbol("halt", 8 * app.cycle_budget);
@@ -143,7 +146,8 @@ TEST(Cfa, ResetMarkerResynchronisesReplay) {
   // marker and the verifier must resync (no false positive afterwards).
   const auto& app = apps::vuln_gateway();
   auto build = plain_build(app);
-  core::Device device(build);  // reboots after reset
+  // halt_on_reset = false: the device reboots after the reset.
+  DeviceSession device(app.name, build, EnforcementPolicy::kCasu);
   CfaMonitor monitor(key(), {.log_capacity = 1u << 16});
   device.machine().add_monitor(&monitor);
   // Exploit redirecting into RAM: CASU W^X resets the device.
@@ -155,7 +159,7 @@ TEST(Cfa, ResetMarkerResynchronisesReplay) {
   bool saw_reset = false;
   for (const auto& e : report.edges) saw_reset = saw_reset || e.reset;
   EXPECT_TRUE(saw_reset);
-  CfaVerifier verifier(extract_cfg(build.app), key());
+  CfaVerifier verifier(extract_cfg(build->app), key());
   auto result = verifier.verify(report, 10);
   EXPECT_TRUE(result.mac_ok);
   // The pre-reset hijack edge (ret into RAM) must be flagged.

@@ -3,12 +3,14 @@
 // three-iteration pipeline.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/error.h"
-#include "eilid/device.h"
 #include "eilid/inspect.h"
 #include "eilid/instrumenter.h"
 #include "eilid/pipeline.h"
 #include "eilid/rom_builder.h"
+#include "eilid/session.h"
 
 namespace eilid::core {
 namespace {
@@ -16,7 +18,8 @@ namespace {
 using sim::ResetReason;
 
 // Build a hand-written app that calls the ROM stubs directly.
-BuildResult stub_app(const std::string& body, RomConfig rom_cfg = {}) {
+std::shared_ptr<const BuildResult> stub_app(const std::string& body,
+                                            RomConfig rom_cfg = {}) {
   RomInfo rom = build_rom(rom_cfg);
   std::string src;
   for (const char* name : kVeneerNames) {
@@ -25,9 +28,9 @@ BuildResult stub_app(const std::string& body, RomConfig rom_cfg = {}) {
   }
   src += ".org 0xe000\nmain:\n    mov #0x1000, r1\n" + body +
          "halt:\n    jmp halt\n.vector 15, main\n";
-  BuildResult build;
-  build.rom = rom;
-  build.app = masm::assemble_text(src, "stubapp");
+  auto build = std::make_shared<BuildResult>();
+  build->rom = rom;
+  build->app = masm::assemble_text(src, "stubapp");
   return build;
 }
 
@@ -58,7 +61,8 @@ TEST(ShadowStack, StoreThenMatchingCheckPasses) {
     mov #0x1234, r6
     call #NS_EILID_check_ra
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   auto r = device.run_to_symbol("halt", 5000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);
   EXPECT_EQ(device.machine().violation_count(), 0u);
@@ -72,7 +76,8 @@ TEST(ShadowStack, MismatchResets) {
     mov #0x5678, r6
     call #NS_EILID_check_ra
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   auto r = device.machine().run(5000);
   EXPECT_EQ(r.cause, sim::StopCause::kDeviceReset);
   EXPECT_EQ(device.machine().resets().back().reason,
@@ -83,7 +88,8 @@ TEST(ShadowStack, UnderflowResets) {
   auto build = stub_app(R"(    mov #0x1234, r6
     call #NS_EILID_check_ra
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kShadowStackUnderflow);
@@ -98,7 +104,8 @@ ov_loop:
     dec r10
     jnz ov_loop
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().run(100000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kShadowStackOverflow);
@@ -110,7 +117,8 @@ TEST(ShadowStack, LifoOrderObservable) {
     mov #0x2222, r6
     call #NS_EILID_store_ra
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.run_to_symbol("halt", 5000);
   ShadowInspector inspector(device);
   ASSERT_EQ(inspector.depth(), 2u);
@@ -126,7 +134,8 @@ TEST(ShadowStack, RfiStoresAndChecksContextPair) {
     mov #0x0008, r7
     call #NS_EILID_check_rfi
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   auto r = device.run_to_symbol("halt", 5000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);
 }
@@ -139,7 +148,8 @@ TEST(ShadowStack, RfiSrMismatchResets) {
     mov #0x0000, r7
     call #NS_EILID_check_rfi
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kCfiRfiMismatch);
@@ -154,7 +164,8 @@ TEST(IndTable, RegisteredTargetPassesUnknownResets) {
     mov #0xe300, r6
     call #NS_EILID_check_ind
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kCfiIndirectCallViolation);
@@ -168,7 +179,8 @@ TEST(IndTable, LockPreventsLateRegistration) {
     mov #0xe300, r6
     call #NS_EILID_store_ind
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kCfiIndirectCallViolation);
@@ -186,7 +198,8 @@ TEST(IndTable, FullTableResets) {
     call #NS_EILID_store_ind
 )",
                         cfg);
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kIndTableFull);
@@ -194,7 +207,8 @@ TEST(IndTable, FullTableResets) {
 
 TEST(EilidHw, ShadowMemoryUnreadableFromApp) {
   auto build = stub_app("    mov &0x2000, r10\n");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kSecureRamAccessViolation);
@@ -202,7 +216,8 @@ TEST(EilidHw, ShadowMemoryUnreadableFromApp) {
 
 TEST(EilidHw, ShadowMemoryUnwritableFromApp) {
   auto build = stub_app("    mov #0xdead, &0x2080\n");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device("stubapp", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kSecureRamAccessViolation);
@@ -223,10 +238,11 @@ TEST(EilidHw, MidStubEntryDispatchesSafely) {
                     "    mov #9, r4\n    call #" +
                     std::to_string(mid_stub) +
                     "\nhalt:\n    jmp halt\n.vector 15, main\n";
-  BuildResult b;
-  b.rom = rom;
-  b.app = masm::assemble_text(src, "sel");
-  Device device(b, {.halt_on_reset = true});
+  auto b = std::make_shared<BuildResult>();
+  b->rom = rom;
+  b->app = masm::assemble_text(src, "sel");
+  DeviceSession device("sel", b, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason, ResetReason::kBadSelector);
 }
@@ -237,10 +253,11 @@ TEST(EilidHw, LastStubIsLegalEntry) {
                     std::to_string(rom.unit.symbols.at("NS_EILID_lock")) +
                     "\n.org 0xe000\nmain:\n    mov #0x1000, r1\n"
                     "    call #STUB\nhalt:\n    jmp halt\n.vector 15, main\n";
-  BuildResult b;
-  b.rom = rom;
-  b.app = masm::assemble_text(src, "sel2");
-  Device device(b, {.halt_on_reset = true});
+  auto b = std::make_shared<BuildResult>();
+  b->rom = rom;
+  b->app = masm::assemble_text(src, "sel2");
+  DeviceSession device("sel2", b, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   auto r = device.run_to_symbol("halt", 5000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);
   EXPECT_EQ(device.machine().violation_count(), 0u);
@@ -335,9 +352,13 @@ TEST(Pipeline, ThreeIterationsConvergeAndLabelModeMatches) {
 }
 
 TEST(Pipeline, PlainBuildHasNoRom) {
-  BuildResult plain = build_app(kTinyApp, "tiny", {.eilid = false});
-  EXPECT_EQ(plain.rom.unit.image.size_bytes(), 0u);
-  Device device(plain);
+  auto plain = std::make_shared<const BuildResult>(
+      build_app(kTinyApp, "tiny", {.eilid = false}));
+  EXPECT_EQ(plain->rom.unit.image.size_bytes(), 0u);
+  // Without a ROM the build cannot carry full EILID enforcement.
+  EXPECT_THROW(DeviceSession("tiny", plain, EnforcementPolicy::kEilidHw),
+               FleetError);
+  DeviceSession device("tiny", plain, EnforcementPolicy::kCasu);
   EXPECT_FALSE(device.eilid_enabled());
   auto r = device.run_to_symbol("halt", 5000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);

@@ -35,27 +35,62 @@ emit:
 
 // ------------------------------------------------------------- pool
 
+// The contract tests run against both pool shapes the fleet uses: a
+// worker pool and the shared inline pool.
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  common::ThreadPool pool(4);
-  constexpr size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](size_t i) { ++hits[i]; });
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  common::ThreadPool workers(4);
+  for (common::ThreadPool* pool :
+       {&workers, &common::ThreadPool::inline_pool()}) {
+    SCOPED_TRACE(pool->worker_count());
+    constexpr size_t kN = 1000;
+    std::vector<std::atomic<int>> hits(kN);
+    pool->parallel_for(kN, [&](size_t i) { ++hits[i]; });
+    for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForRethrowsFirstError) {
-  common::ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(64,
-                                 [](size_t i) {
-                                   if (i == 7) {
-                                     throw FleetError("boom");
-                                   }
+  common::ThreadPool workers(4);
+  for (common::ThreadPool* pool :
+       {&workers, &common::ThreadPool::inline_pool()}) {
+    SCOPED_TRACE(pool->worker_count());
+    EXPECT_THROW(pool->parallel_for(64,
+                                    [](size_t i) {
+                                      if (i == 7) {
+                                        throw FleetError("boom");
+                                      }
+                                    }),
+                 FleetError);
+    // The pool survives a failed sweep.
+    std::atomic<size_t> ran{0};
+    pool->parallel_for(64, [&](size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 64u);
+  }
+}
+
+TEST(ThreadPoolTest, InlinePoolRunsInOrderOnCallerAndStopsAtFirstThrow) {
+  common::ThreadPool& pool = common::ThreadPool::inline_pool();
+  EXPECT_EQ(pool.worker_count(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  pool.parallel_for(16, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << i;
+    order.push_back(i);
+  });
+  std::vector<size_t> expected(16);
+  for (size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  EXPECT_EQ(order, expected);
+
+  order.clear();
+  EXPECT_THROW(pool.parallel_for(16,
+                                 [&](size_t i) {
+                                   order.push_back(i);
+                                   if (i == 5) throw FleetError("boom");
                                  }),
                FleetError);
-  // The pool survives a failed sweep.
-  std::atomic<size_t> ran{0};
-  pool.parallel_for(64, [&](size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 64u);
+  // Indices after the throwing one never ran.
+  expected.resize(6);
+  EXPECT_EQ(order, expected);
 }
 
 // ------------------------------------------------- single-flight cache

@@ -128,6 +128,12 @@ struct RoundTripCase {
   Instruction insn;
 };
 
+// Without this, gtest prints the case as raw bytes, including the address
+// of `name`, so test listings would change from run to run.
+void PrintTo(const RoundTripCase& c, std::ostream* os) {
+  *os << disassemble(c.insn);
+}
+
 class RoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(RoundTrip, EncodeDecodeEncode) {

@@ -7,12 +7,14 @@
 // Every case is reproducible from its printed seed.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "apps/apps.h"
 #include "attacks/attack.h"
 #include "common/rng.h"
-#include "eilid/device.h"
 #include "eilid/inspect.h"
 #include "eilid/pipeline.h"
+#include "eilid/session.h"
 
 namespace eilid {
 namespace {
@@ -98,9 +100,11 @@ class LegalPrograms : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(LegalPrograms, NoFalsePositivesUnderEilid) {
   uint64_t seed = GetParam();
   GeneratedProgram prog = generate(seed);
-  core::BuildResult build = core::build_app(prog.source, "gen", {});
-  EXPECT_TRUE(build.converged) << "seed " << seed;
-  core::Device device(build, {.halt_on_reset = true});
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(prog.source, "gen", {}));
+  EXPECT_TRUE(build->converged) << "seed " << seed;
+  DeviceSession device("gen", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
   auto r = device.run_to_symbol("halt", 2000000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint)
       << "seed " << seed << " resets="
@@ -121,8 +125,11 @@ TEST_P(LegalPrograms, OriginalAndEilidComputeSameResult) {
   auto run = [&](bool eilid) {
     core::BuildOptions options;
     options.eilid = eilid;
-    core::BuildResult build = core::build_app(prog.source, "gen", options);
-    core::Device device(build);
+    auto build = std::make_shared<const core::BuildResult>(
+        core::build_app(prog.source, "gen", options));
+    DeviceSession device(
+        "gen", build,
+        eilid ? EnforcementPolicy::kEilidHw : EnforcementPolicy::kCasu);
     device.run_to_symbol("halt", 2000000);
     // Observable state: the RAM words the program writes.
     std::vector<uint16_t> ram;
@@ -145,8 +152,10 @@ class CorruptedReturns : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(CorruptedReturns, AlwaysCaughtBeforeUse) {
   uint64_t seed = GetParam();
   GeneratedProgram prog = generate(seed);
-  core::BuildResult build = core::build_app(prog.source, "gen", {});
-  core::Device device(build, {.halt_on_reset = true});
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(prog.source, "gen", {}));
+  DeviceSession device("gen", build, EnforcementPolicy::kEilidHw,
+                       {.halt_on_reset = true});
 
   // Corrupt the freshly pushed return address at the entry of a random
   // function (at its first instruction [SP] holds the return address).

@@ -6,9 +6,11 @@
 //     index (ablation configuration) on real workloads.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "apps/apps.h"
-#include "eilid/device.h"
 #include "eilid/pipeline.h"
+#include "eilid/session.h"
 #include "isa/decoder.h"
 #include "isa/disasm.h"
 #include "masm/assembler.h"
@@ -66,8 +68,10 @@ TEST_P(MemIndexApps, RunCleanWithMemoryBackedIndex) {
   const auto& app = apps::app_by_name(GetParam());
   core::BuildOptions options;
   options.rom.memory_backed_index = true;
-  core::BuildResult build = core::build_app(app.source, app.name, options);
-  core::Device device(build);
+  DeviceSession device(app.name,
+                       std::make_shared<const core::BuildResult>(
+                           core::build_app(app.source, app.name, options)),
+                       EnforcementPolicy::kEilidHw);
   app.setup(device.machine());
   auto r = device.run_to_symbol("halt", 8 * app.cycle_budget);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);

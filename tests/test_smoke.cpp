@@ -3,9 +3,11 @@
 // same observable behaviour, and triggers zero enforcement resets.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "apps/apps.h"
-#include "eilid/device.h"
 #include "eilid/pipeline.h"
+#include "eilid/session.h"
 
 namespace eilid {
 namespace {
@@ -16,8 +18,10 @@ TEST_P(SmokeTest, OriginalRunsToHalt) {
   const auto& app = apps::app_by_name(GetParam());
   core::BuildOptions opts;
   opts.eilid = false;
-  core::BuildResult build = core::build_app(app.source, app.name, opts);
-  core::Device device(build);
+  DeviceSession device(app.name,
+                       std::make_shared<const core::BuildResult>(
+                           core::build_app(app.source, app.name, opts)),
+                       EnforcementPolicy::kCasu);
   app.setup(device.machine());
   auto run = device.run_to_symbol("halt", app.cycle_budget);
   EXPECT_EQ(run.cause, sim::StopCause::kBreakpoint)
@@ -28,9 +32,10 @@ TEST_P(SmokeTest, OriginalRunsToHalt) {
 
 TEST_P(SmokeTest, EilidRunsToHaltWithoutFalsePositives) {
   const auto& app = apps::app_by_name(GetParam());
-  core::BuildResult build = core::build_app(app.source, app.name);
-  EXPECT_TRUE(build.converged);
-  core::Device device(build);
+  auto build = std::make_shared<const core::BuildResult>(
+      core::build_app(app.source, app.name));
+  EXPECT_TRUE(build->converged);
+  DeviceSession device(app.name, build, EnforcementPolicy::kEilidHw);
   app.setup(device.machine());
   auto run = device.run_to_symbol("halt", 4 * app.cycle_budget);
   ASSERT_EQ(run.cause, sim::StopCause::kBreakpoint)
