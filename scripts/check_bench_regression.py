@@ -21,6 +21,10 @@ Two column families are gated, in opposite directions:
   growth regression is a real memory-diet regression
   (bench_fleet_10k's resident_bytes_per_device).
 
+Each row's absolute ``*_ms`` columns are printed next to its ratios,
+for information only (never gated): a ratio can fall because its
+denominator (the serial row) got faster, and the log should show it.
+
 Rows are matched by identity key (``policy`` for the sim bench,
 ``threads`` for the fleet bench). A row or speedup column present in
 the baseline but missing from the fresh run fails the gate (a silently
@@ -30,6 +34,9 @@ gate must also be true.
 
 Usage:
     check_bench_regression.py FRESH BASELINE [--tolerance 0.20]
+
+Self-test (runs this usage on synthetic documents):
+    python3 scripts/test_check_bench_regression.py
 
 Exit status: 0 pass, 1 regression (or malformed input), 2 missing
 baseline file (pass-with-warning: first run after adding a bench).
@@ -65,6 +72,15 @@ def resident_columns(row):
         k: v
         for k, v in row.items()
         if k.startswith("resident_") and isinstance(v, (int, float))
+    }
+
+
+def ms_columns(row):
+    """Absolute timings, printed beside the ratios but never gated."""
+    return {
+        k: v
+        for k, v in row.items()
+        if k.endswith("_ms") and isinstance(v, (int, float))
     }
 
 
@@ -121,6 +137,14 @@ def main():
         if fresh_row is None:
             failures.append(f"{rk}: row present in baseline, missing from fresh run")
             continue
+        fresh_ms = ms_columns(fresh_row)
+        for col, base_val in ms_columns(base_row).items():
+            fresh_val = fresh_ms.get(col)
+            fresh_txt = "-" if fresh_val is None else f"{fresh_val:10.2f}ms"
+            print(
+                f"{'info':>4}  {rk:<24} {col:<20} "
+                f"baseline {base_val:10.2f}ms  fresh {fresh_txt}"
+            )
         fresh_cols = speedup_columns(fresh_row)
         for col, base_val in speedup_columns(base_row).items():
             if base_val <= 0:

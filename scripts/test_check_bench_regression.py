@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Self-test for check_bench_regression.py.
+
+Runs the gate the way CI does (``check_bench_regression.py FRESH
+BASELINE``) on small synthetic bench documents and checks that each
+row's absolute ``*_ms`` columns are printed beside its ratios, and that
+the printout changes neither the verdict nor the exit status.
+
+Usage:
+    python3 scripts/test_check_bench_regression.py
+
+Stdlib only.
+"""
+
+import json
+import subprocess
+import sys
+import tempfile
+import unittest
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent / "check_bench_regression.py"
+
+
+def bench(rows):
+    return {"bench": "fleet_health", "mode": "smoke", "rows": rows, "ok": True}
+
+
+BASELINE = bench([
+    {"threads": 1, "cadence_ms": 23.7, "heal_ms": 3.0, "speedup": 1.0},
+    {"threads": 4, "cadence_ms": 12.1, "heal_ms": 2.5, "speedup": 1.14},
+])
+
+
+def run_gate(fresh, baseline=BASELINE):
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh_path = Path(tmp) / "fresh.json"
+        base_path = Path(tmp) / "baseline.json"
+        fresh_path.write_text(json.dumps(fresh))
+        base_path.write_text(json.dumps(baseline))
+        done = subprocess.run(
+            [sys.executable, str(SCRIPT), str(fresh_path), str(base_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    return done.returncode, done.stdout
+
+
+def line_with(out, *needles):
+    for line in out.splitlines():
+        if all(n in line for n in needles):
+            return line
+    return None
+
+
+class MsColumns(unittest.TestCase):
+    def test_ms_columns_printed_beside_a_passing_ratio(self):
+        code, out = run_gate(bench([
+            {"threads": 1, "cadence_ms": 20.0, "heal_ms": 3.1, "speedup": 1.0},
+            {"threads": 4, "cadence_ms": 10.0, "heal_ms": 2.0, "speedup": 1.2},
+        ]))
+        self.assertEqual(code, 0, out)
+        line = line_with(out, "info", "threads=4", "cadence_ms")
+        self.assertIsNotNone(line, out)
+        self.assertIn("12.10ms", line)
+        self.assertIn("10.00ms", line)
+        self.assertIsNotNone(line_with(out, "info", "threads=1", "heal_ms"), out)
+        # Informational lines sit next to the row's ratio line.
+        lines = out.splitlines()
+        ratio = lines.index(line_with(out, "threads=4", "speedup "))
+        self.assertIn("threads=4", lines[ratio - 1])
+        self.assertIn("PASS", out)
+
+    def test_faster_serial_row_still_fails_the_ratio(self):
+        # Every row faster in absolute time, yet the pooled/serial ratio
+        # falls past the tolerance: the gate still fails, and the log
+        # shows both absolute times.
+        code, out = run_gate(bench([
+            {"threads": 1, "cadence_ms": 6.0, "heal_ms": 1.0, "speedup": 1.0},
+            {"threads": 4, "cadence_ms": 7.0, "heal_ms": 1.0, "speedup": 0.86},
+        ]))
+        self.assertEqual(code, 1, out)
+        self.assertIsNotNone(line_with(out, "FAIL", "threads=4", "speedup"), out)
+        line = line_with(out, "info", "threads=1", "cadence_ms")
+        self.assertIn("23.70ms", line)
+        self.assertIn("6.00ms", line)
+
+    def test_missing_ms_column_is_shown_not_gated(self):
+        code, out = run_gate(bench([
+            {"threads": 1, "heal_ms": 3.0, "speedup": 1.0},
+            {"threads": 4, "heal_ms": 2.5, "speedup": 1.14},
+        ]))
+        self.assertEqual(code, 0, out)
+        line = line_with(out, "info", "threads=4", "cadence_ms")
+        self.assertTrue(line.rstrip().endswith("fresh -"), line)
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -61,10 +61,8 @@ std::string_view update_status_name(UpdateStatus status) {
   return "?";
 }
 
-crypto::Digest package_mac(const crypto::Digest& update_key,
+crypto::Digest package_mac(crypto::HmacSha256 mac,
                            const UpdatePackage& package) {
-  crypto::HmacSha256 mac(
-      std::span<const uint8_t>(update_key.data(), update_key.size()));
   uint8_t header[4];
   for (int i = 0; i < 4; ++i) {
     header[i] = static_cast<uint8_t>(package.version >> (8 * i));
@@ -181,14 +179,14 @@ std::string_view chunk_ack_name(ChunkAck ack) {
 // --- authority ------------------------------------------------------
 
 UpdateAuthority::UpdateAuthority(std::span<const uint8_t> device_key)
-    : update_key_(crypto::derive_key(device_key, "casu-update")) {}
+    : package_mac_(crypto::derive_key(device_key, "casu-update")) {}
 
 UpdatePackage UpdateAuthority::make_package(
     uint32_t version, std::vector<UpdateRegion> regions) const {
   UpdatePackage pkg;
   pkg.version = version;
   pkg.regions = std::move(regions);
-  pkg.mac = package_mac(update_key_, pkg);
+  pkg.mac = package_mac(package_mac_, pkg);
   return pkg;
 }
 
@@ -204,7 +202,7 @@ UpdatePackage UpdateAuthority::make_package(
 
 UpdateEngine::UpdateEngine(std::span<const uint8_t> device_key,
                            sim::Machine& machine, CasuMonitor* monitor)
-    : update_key_(crypto::derive_key(device_key, "casu-update")),
+    : package_mac_(crypto::derive_key(device_key, "casu-update")),
       machine_(machine),
       monitor_(monitor) {}
 
@@ -215,7 +213,7 @@ UpdateStatus UpdateEngine::verify(const UpdatePackage& package) {
       return UpdateStatus::kBadRegion;
     }
   }
-  crypto::Digest expected = package_mac(update_key_, package);
+  crypto::Digest expected = package_mac(package_mac_, package);
   if (!crypto::digest_equal(expected, package.mac)) {
     // Authentication failure is a monitored event: the ROM update
     // routine reports it and the device resets at the next step.

@@ -98,8 +98,9 @@ std::string_view update_status_name(UpdateStatus status);
 
 // MAC over version || (addr, len, bytes) per region, all fields
 // fixed-width LE. Shared by the authority (signing) and the engine
-// (verification).
-crypto::Digest package_mac(const crypto::Digest& update_key,
+// (verification), each of which keys one HmacSha256 with the update
+// key at construction and passes a copy here per package.
+crypto::Digest package_mac(crypto::HmacSha256 keyed,
                            const UpdatePackage& package);
 
 // --- wire format ----------------------------------------------------
@@ -160,7 +161,7 @@ class UpdateAuthority {
                              std::vector<uint8_t> payload) const;
 
  private:
-  crypto::Digest update_key_;
+  crypto::HmacSha256 package_mac_;  // keyed with the update key
 };
 
 // Receiver side: one engine per device, bound to that device's machine
@@ -251,7 +252,7 @@ class UpdateEngine {
                      std::optional<size_t> stop_after);
   UpdateStatus commit(std::optional<size_t> power_cut_after_regions);
 
-  crypto::Digest update_key_;
+  crypto::HmacSha256 package_mac_;  // keyed with the update key
   sim::Machine& machine_;
   CasuMonitor* monitor_;
   uint32_t version_ = 0;

@@ -1,5 +1,8 @@
 #include "cfa/attestation.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace eilid::cfa {
 
 LoggedEdge* CfaMonitor::grow_chunk() {
@@ -57,6 +60,11 @@ void CfaMonitor::on_update_applied() {
 
 crypto::Digest CfaMonitor::mac_report(const crypto::Digest& key, uint64_t nonce,
                                       const Report& report) {
+  return mac_report(crypto::HmacSha256(key), nonce, report);
+}
+
+crypto::Digest CfaMonitor::mac_report(crypto::HmacSha256 mac, uint64_t nonce,
+                                      const Report& report) {
   // Stream the report through an incremental HMAC instead of
   // materializing a header|edges byte vector: a drained 2^17-edge
   // log would otherwise allocate ~640 KB per report just to hash it.
@@ -67,7 +75,6 @@ crypto::Digest CfaMonitor::mac_report(const crypto::Digest& key, uint64_t nonce,
   // the original header stopped at seq, so a man-in-the-middle could
   // bump cycle (backdating when evidence was emitted) or zero dropped
   // (hiding log overflow) without failing authentication.
-  crypto::HmacSha256 mac(std::span<const uint8_t>(key.data(), key.size()));
   uint8_t header[24];
   for (int i = 0; i < 8; ++i) header[i] = static_cast<uint8_t>(nonce >> (8 * i));
   for (int i = 0; i < 4; ++i) {
@@ -113,28 +120,29 @@ Report CfaMonitor::take_report(uint64_t nonce, uint64_t device_cycle,
   dropped_ = 0;
   const size_t take =
       max_edges == 0 ? count_ : (max_edges < count_ ? max_edges : count_);
-  r.edges.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    const size_t pos = head_ + i;
-    r.edges.push_back(chunks_[pos / kChunkEdges][pos % kChunkEdges]);
+  r.edges.resize(take);
+  // One copy per contiguous run: the head chunk's tail, then whole
+  // chunks, then the head of the last one.
+  LoggedEdge* out = r.edges.data();
+  for (size_t chunk = 0, pos = head_, left = take; left != 0;
+       ++chunk, pos = 0) {
+    const size_t run = std::min(left, kChunkEdges - pos);
+    const LoggedEdge* src = chunks_[chunk].get() + pos;
+    out = std::copy(src, src + run, out);
+    left -= run;
   }
   head_ += take;
   count_ -= take;
-  // Recycle fully-drained leading chunks; a fully-drained log resets
-  // the cursor so the arena's steady state is independent of history.
-  while (head_ >= kChunkEdges) {
-    free_chunks_.push_back(std::move(chunks_.front()));
-    chunks_.erase(chunks_.begin());
-    head_ -= kChunkEdges;
-  }
-  if (count_ == 0) {
-    while (!chunks_.empty()) {
-      free_chunks_.push_back(std::move(chunks_.back()));
-      chunks_.pop_back();
-    }
-    head_ = 0;
-  }
-  r.mac = mac_report(key_, nonce, r);
+  // Recycle fully-drained leading chunks in one erase; a fully-drained
+  // log resets the cursor so the arena's steady state is independent
+  // of history.
+  const size_t spent = count_ == 0 ? chunks_.size() : head_ / kChunkEdges;
+  std::move(chunks_.begin(), chunks_.begin() + static_cast<ptrdiff_t>(spent),
+            std::back_inserter(free_chunks_));
+  chunks_.erase(chunks_.begin(),
+                chunks_.begin() + static_cast<ptrdiff_t>(spent));
+  head_ = count_ == 0 ? 0 : head_ % kChunkEdges;
+  r.mac = mac_report(mac_, nonce, r);
   return r;
 }
 
@@ -159,6 +167,7 @@ bool CfaVerifier::replay_edge(const LoggedEdge& edge) {
   }
   if (edge.irq) {
     if (cfg_->isr_entries.count(edge.to) == 0) return false;
+    if (replay_depth_words() + 2 > kMaxReplayDepthWords) return false;
     irq_stack_.push_back(edge.from);  // resume point
     return true;
   }
@@ -172,6 +181,7 @@ bool CfaVerifier::replay_edge(const LoggedEdge& edge) {
     } else if (call->second.target != edge.to) {
       return false;
     }
+    if (replay_depth_words() + 1 > kMaxReplayDepthWords) return false;
     call_stack_.push_back(call->second.return_addr);
     return true;
   }
@@ -192,7 +202,7 @@ bool CfaVerifier::replay_edge(const LoggedEdge& edge) {
 
 CfaVerifier::Result CfaVerifier::verify(const Report& report, uint64_t nonce) {
   Result result;
-  crypto::Digest expected = CfaMonitor::mac_report(key_, nonce, report);
+  crypto::Digest expected = CfaMonitor::mac_report(mac_, nonce, report);
   result.mac_ok = crypto::digest_equal(expected, report.mac);
   if (!result.mac_ok) return result;
 

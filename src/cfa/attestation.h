@@ -16,6 +16,7 @@
 #include "cfa/cfg.h"
 #include "crypto/hmac.h"
 #include "sim/bus.h"
+#include "sim/memory_map.h"
 #include "sim/monitor.h"
 
 namespace eilid::cfa {
@@ -55,7 +56,7 @@ struct CfaConfig {
 class CfaMonitor : public sim::Monitor {
  public:
   explicit CfaMonitor(crypto::Digest key, CfaConfig config = {})
-      : key_(key), config_(config) {}
+      : mac_(key), config_(config) {}
 
   // sim::Monitor. Note: the log *survives* device resets (ACFA keeps
   // the log slice in attested memory so that evidence of the pre-reset
@@ -110,6 +111,11 @@ class CfaMonitor : public sim::Monitor {
   // evidence or hide log overflow without touching the edge stream.
   static crypto::Digest mac_report(const crypto::Digest& key, uint64_t nonce,
                                    const Report& report);
+  // The same MAC from a copy of an instance already keyed with the
+  // attestation key (its HMAC midstates computed once, at
+  // construction of the monitor or verifier that owns it).
+  static crypto::Digest mac_report(crypto::HmacSha256 keyed, uint64_t nonce,
+                                   const Report& report);
 
  private:
   // Chunked FIFO arena replacing the old per-device edge vector: edges
@@ -123,7 +129,7 @@ class CfaMonitor : public sim::Monitor {
   void log_edge(LoggedEdge edge);
   LoggedEdge* grow_chunk();
 
-  crypto::Digest key_;
+  crypto::HmacSha256 mac_;  // keyed once; each report MACs from a copy
   CfaConfig config_;
   std::vector<std::unique_ptr<LoggedEdge[]>> chunks_;  // live FIFO, in order
   std::vector<std::unique_ptr<LoggedEdge[]>> free_chunks_;
@@ -149,11 +155,28 @@ class CfaVerifier {
   // (immutable) CFG, extracted once per build instead of once per
   // device.
   CfaVerifier(std::shared_ptr<const Cfg> cfg, crypto::Digest key)
-      : cfg_(std::move(cfg)), key_(key) {}
+      : cfg_(std::move(cfg)), mac_(key) {}
+
+  // Replay-stack bound, in 16-bit words: the device's whole RAM stack
+  // region (sim::kRamStart up to sim::kStackTop). A call pushes one
+  // word (the return address) and an interrupt two (PC and SR), so
+  // evidence nesting deeper than this cannot come from the device's
+  // own stack. Such a push fails the path check -- the verifier-side
+  // mirror of EILID's shadow-stack overflow -- and keeps a correctly
+  // MAC'd but endlessly recursing device from growing verifier memory
+  // without bound.
+  static constexpr size_t kMaxReplayDepthWords =
+      (sim::kStackTop - sim::kRamStart) / 2;
 
   // Verify the next report in sequence. Replay state (call stack,
   // interrupt frames) persists across reports.
   Result verify(const Report& report, uint64_t nonce);
+
+  // Current replay-stack depth in words: call frames + 2 x interrupt
+  // frames. Never exceeds kMaxReplayDepthWords.
+  size_t replay_depth_words() const {
+    return call_stack_.size() + 2 * irq_stack_.size();
+  }
 
   // Discard replay state (stacks and staged epoch swaps). The current
   // CFG is kept: it reflects what code the device runs now, which a
@@ -173,7 +196,7 @@ class CfaVerifier {
   bool replay_edge(const LoggedEdge& edge);
 
   std::shared_ptr<const Cfg> cfg_;
-  crypto::Digest key_;
+  crypto::HmacSha256 mac_;  // keyed once; each report MACs from a copy
   std::vector<uint16_t> call_stack_;  // expected return addresses
   std::vector<uint16_t> irq_stack_;   // expected resume addresses
   std::deque<std::shared_ptr<const Cfg>> pending_cfgs_;

@@ -15,20 +15,27 @@ HmacSha256::HmacSha256(std::span<const uint8_t> key) {
     std::copy(key.begin(), key.end(), k0.begin());
   }
 
+  std::array<uint8_t, kBlock> ipad;
+  std::array<uint8_t, kBlock> opad;
   for (size_t i = 0; i < kBlock; ++i) {
-    ipad_[i] = static_cast<uint8_t>(k0[i] ^ 0x36);
-    opad_[i] = static_cast<uint8_t>(k0[i] ^ 0x5c);
+    ipad[i] = static_cast<uint8_t>(k0[i] ^ 0x36);
+    opad[i] = static_cast<uint8_t>(k0[i] ^ 0x5c);
   }
-  inner_.update(std::span<const uint8_t>(ipad_.data(), ipad_.size()));
+  // A whole pad block leaves nothing buffered: the chaining value is
+  // the entire keyed state.
+  Sha256 outer;
+  outer.update(opad);
+  outer_midstate_ = outer.state_;
+  inner_.update(ipad);
+  inner_midstate_ = inner_.state_;
 }
 
 Digest HmacSha256::finish() {
-  Digest inner_digest = inner_.finish();  // finish() resets inner_
+  Digest inner_digest = inner_.finish();
+  inner_.resume_after_block(inner_midstate_);  // re-arm
   Sha256 outer;
-  outer.update(std::span<const uint8_t>(opad_.data(), opad_.size()));
-  outer.update(
-      std::span<const uint8_t>(inner_digest.data(), inner_digest.size()));
-  inner_.update(std::span<const uint8_t>(ipad_.data(), ipad_.size()));  // re-arm
+  outer.resume_after_block(outer_midstate_);
+  outer.update(inner_digest);
   return outer.finish();
 }
 

@@ -13,10 +13,21 @@
 namespace eilid::crypto {
 
 // Incremental HMAC-SHA256: stream the message through update() and
-// call finish() once. finish() re-arms the object with the same key,
-// so one instance can MAC a sequence of messages without re-deriving
-// the pads. Lets callers (e.g. the CFA report MAC) stream large
-// messages instead of materializing a contiguous byte vector.
+// call finish() once. Lets callers (e.g. the CFA report MAC) stream
+// large messages instead of materializing a contiguous byte vector.
+//
+// Keyed midstates: the constructor hashes the ipad and opad blocks
+// once and keeps the two chaining values. finish() re-arms the object
+// from the inner one, and a copy of a keyed instance starts from the
+// same point, so MACing another message under the same key costs no
+// pad block. The pattern for a long-lived key is to build one keyed
+// instance and MAC each message from a copy of it:
+// cfa::CfaMonitor / cfa::CfaVerifier and casu::UpdateAuthority /
+// casu::UpdateEngine each key one instance at construction. Copying
+// only reads the keyed instance, so copies may be taken concurrently;
+// a single instance that is update()d or finish()ed is not
+// thread-safe, and the monitor/verifier use theirs under the device
+// session's lock.
 class HmacSha256 {
  public:
   explicit HmacSha256(std::span<const uint8_t> key);
@@ -25,8 +36,8 @@ class HmacSha256 {
   Digest finish();
 
  private:
-  std::array<uint8_t, Sha256::kBlockSize> ipad_;
-  std::array<uint8_t, Sha256::kBlockSize> opad_;
+  Sha256::State inner_midstate_;  // after ipad
+  Sha256::State outer_midstate_;  // after opad
   Sha256 inner_;
 };
 

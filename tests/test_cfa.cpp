@@ -10,6 +10,7 @@
 #include "cfa/cfg.h"
 #include "eilid/pipeline.h"
 #include "eilid/session.h"
+#include "sim/memory_map.h"
 
 namespace eilid::cfa {
 namespace {
@@ -166,6 +167,99 @@ TEST(Cfa, ResetMarkerResynchronisesReplay) {
   EXPECT_FALSE(result.path_ok);
   ASSERT_TRUE(result.first_bad.has_value());
   EXPECT_EQ(result.first_bad->to, 0x0300);
+}
+
+// --- bounded replay stacks --------------------------------------------
+//
+// A hand-built CFG for a function that calls itself: main calls f at
+// 0xE000, f recurses at 0xE104 and returns at 0xE10A; one ISR at
+// 0xE200 returns at 0xE210. Reports are built edge by edge and MAC'd
+// with the attestation key, so only the replay bound can refuse them.
+constexpr uint16_t kMainCall = 0xE000, kMainResume = 0xE004;
+constexpr uint16_t kF = 0xE100, kSelfCall = 0xE104, kSelfResume = 0xE108,
+                   kRet = 0xE10A;
+constexpr uint16_t kIsr = 0xE200, kReti = 0xE210;
+
+std::shared_ptr<const Cfg> recursive_cfg() {
+  auto cfg = std::make_shared<Cfg>();
+  cfg->call_sites[kMainCall] = {false, kF, kMainResume};
+  cfg->call_sites[kSelfCall] = {false, kF, kSelfResume};
+  cfg->ret_addrs.insert(kRet);
+  cfg->reti_addrs.insert(kReti);
+  cfg->isr_entries.insert(kIsr);
+  cfg->call_targets.insert(kF);
+  return cfg;
+}
+
+// main -> f, then `depth - 1` self-calls.
+std::vector<LoggedEdge> nest_calls(size_t depth) {
+  std::vector<LoggedEdge> edges{{kMainCall, kF}};
+  for (size_t i = 1; i < depth; ++i) edges.push_back({kSelfCall, kF});
+  return edges;
+}
+
+Report macd_report(std::vector<LoggedEdge> edges, uint32_t seq,
+                   uint64_t nonce) {
+  Report r;
+  r.seq = seq;
+  r.edges = std::move(edges);
+  r.mac = CfaMonitor::mac_report(key(), nonce, r);
+  return r;
+}
+
+TEST(CfaReplayBound, CapacityIsTheRamStackInWords) {
+  EXPECT_EQ(CfaVerifier::kMaxReplayDepthWords,
+            static_cast<size_t>(sim::kStackTop - sim::kRamStart) / 2);
+}
+
+TEST(CfaReplayBound, NestingExactlyAtCapacityStaysClean) {
+  constexpr size_t kCap = CfaVerifier::kMaxReplayDepthWords;
+  CfaVerifier verifier(recursive_cfg(), key());
+  // kCap - 2 call frames plus one interrupt frame (two words) fill the
+  // stack exactly.
+  std::vector<LoggedEdge> down = nest_calls(kCap - 2);
+  down.push_back({kF, kIsr, true});
+  auto result = verifier.verify(macd_report(down, 0, 1), 1);
+  EXPECT_TRUE(result.mac_ok);
+  EXPECT_TRUE(result.path_ok);
+  EXPECT_FALSE(result.first_bad.has_value());
+  EXPECT_EQ(verifier.replay_depth_words(), kCap);
+
+  // Unwind everything in the next report: still clean, stacks empty.
+  std::vector<LoggedEdge> up{{kReti, kF}};
+  for (size_t i = 1; i < kCap - 2; ++i) up.push_back({kRet, kSelfResume});
+  up.push_back({kRet, kMainResume});
+  result = verifier.verify(macd_report(up, 1, 2), 2);
+  EXPECT_TRUE(result.mac_ok);
+  EXPECT_TRUE(result.path_ok);
+  EXPECT_EQ(verifier.replay_depth_words(), 0u);
+}
+
+TEST(CfaReplayBound, OneCallBeyondCapacityConvicts) {
+  constexpr size_t kCap = CfaVerifier::kMaxReplayDepthWords;
+  CfaVerifier verifier(recursive_cfg(), key());
+  std::vector<LoggedEdge> edges = nest_calls(kCap + 1);
+  // Evidence keeps recursing after the overflowing call; replay must
+  // stop there rather than grow its stacks.
+  for (int i = 0; i < 64; ++i) edges.push_back({kSelfCall, kF});
+  auto result = verifier.verify(macd_report(edges, 0, 7), 7);
+  EXPECT_TRUE(result.mac_ok);
+  EXPECT_FALSE(result.path_ok);
+  ASSERT_TRUE(result.first_bad.has_value());
+  EXPECT_EQ(*result.first_bad, (LoggedEdge{kSelfCall, kF}));
+  EXPECT_EQ(verifier.replay_depth_words(), kCap);
+
+  // An interrupt needs two words: one word short of the cap is not
+  // enough room for it either.
+  CfaVerifier irq_verifier(recursive_cfg(), key());
+  std::vector<LoggedEdge> irq_edges = nest_calls(kCap - 1);
+  irq_edges.push_back({kF, kIsr, true});
+  result = irq_verifier.verify(macd_report(irq_edges, 0, 8), 8);
+  EXPECT_TRUE(result.mac_ok);
+  EXPECT_FALSE(result.path_ok);
+  ASSERT_TRUE(result.first_bad.has_value());
+  EXPECT_TRUE(result.first_bad->irq);
+  EXPECT_EQ(irq_verifier.replay_depth_words(), kCap - 1);
 }
 
 }  // namespace
