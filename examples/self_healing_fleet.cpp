@@ -91,7 +91,8 @@ void drive_wave(const std::vector<DeviceSession*>& wave,
   }
 }
 
-void act_one() {
+// Returns false when pass 3 leaves anyone in quarantine.
+bool act_one() {
   std::printf("=== Act 1: heartbeat -> quarantine -> self-heal ===\n");
   Fleet fleet;
   for (int i = 0; i < 6; ++i) {
@@ -131,7 +132,8 @@ void act_one() {
 
   // The sensor comes back online; the next pass heals it.
   fleet.at("sensor-2").set_online(true);
-  print_health("pass 3 (to tick 500):", health.run_until(500));
+  const HealthReport healed = health.run_until(500);
+  print_health("pass 3 (to tick 500):", healed);
 
   for (auto* dev : fleet.sessions()) {
     dev->machine().uart().clear_tx();
@@ -140,9 +142,11 @@ void act_one() {
     std::printf("%s now transmits '%c'\n", dev->id().c_str(),
                 dev->machine().uart().tx_text()[0]);
   }
+  return healed.quarantined_after == 0;
 }
 
-void act_two() {
+// Returns false when the halted rollout did not roll back.
+bool act_two() {
   std::printf("\n=== Act 2: halted rollout rolls itself back ===\n");
   Fleet fleet;
   for (int i = 0; i < 6; ++i) {
@@ -193,12 +197,15 @@ void act_two() {
     std::printf("%s back on '%c'\n", dev->id().c_str(),
                 dev->machine().uart().tx_text()[0]);
   }
+  return report.rolled_back;
 }
 
 }  // namespace
 
 int main() {
-  act_one();
-  act_two();
-  return 0;
+  const bool healed = act_one();
+  const bool rolled_back = act_two();
+  if (!healed) std::printf("FAILED: quarantine not empty after pass 3\n");
+  if (!rolled_back) std::printf("FAILED: the halted rollout kept v2\n");
+  return healed && rolled_back ? 0 : 1;
 }

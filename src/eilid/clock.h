@@ -49,6 +49,13 @@ class FleetClock {
   std::atomic<Tick> now_{0};
 };
 
+// The catch-up rule every fleet-time scheduler shares: a due tick the
+// clock has already passed moves to the first tick >= now on its own
+// cadence (due + k * period) -- no backlog stamped with past ticks.
+inline Tick catch_up(Tick due, Tick period, Tick now) {
+  return due >= now ? due : due + (now - due + period - 1) / period * period;
+}
+
 }  // namespace eilid
 
 #endif  // EILID_EILID_CLOCK_H

@@ -165,67 +165,66 @@ VerifierService::AttestResult VerifierService::attest_device(
   return out;
 }
 
-// Snapshot of every enrolled device's state, in enrollment-id (map)
-// order.
-std::vector<VerifierService::DeviceState*> VerifierService::sweep_snapshot() {
-  std::vector<DeviceState*> sweep;
+std::vector<DeviceSession*> VerifierService::roster() const {
   std::lock_guard<std::mutex> lock(mu_);
-  sweep.reserve(devices_.size());
-  for (auto& [id, state] : devices_) {
-    (void)id;
-    sweep.push_back(&state);
-  }
-  return sweep;
+  std::vector<DeviceSession*> out;
+  out.reserve(devices_.size());
+  for (const auto& [id, state] : devices_) out.push_back(state.session);
+  return out;
 }
 
-std::vector<VerifierService::AttestResult> VerifierService::verify_all(
-    common::ThreadPool& pool) {
-  // Workers fill results by snapshot index: they interleave, but the
-  // output order is deterministic and the verdicts do not depend on
-  // the pool because each device's evidence, replay state and sequence
-  // window are private to it.
-  std::vector<DeviceState*> sweep = sweep_snapshot();
-  std::vector<AttestResult> out(sweep.size());
-  pool.parallel_for(sweep.size(), [&](size_t i) {
-    out[i] = attest_device(*sweep[i], *sweep[i]->session, 0);
+std::vector<VerifierService::AttestResult> VerifierService::sweep(
+    const std::vector<SweepTarget>& targets, common::ThreadPool& pool) {
+  // Workers fill results by index, so the verdicts do not depend on the
+  // pool: each device's evidence, replay state and sequence window are
+  // private to it. A target without state goes through attest(): a
+  // monitor-less session degrades to attested = false, an un-enrolled
+  // CFA session enrolls on first contact.
+  std::vector<AttestResult> out(targets.size());
+  pool.parallel_for(targets.size(), [&](size_t i) {
+    const SweepTarget& target = targets[i];
+    out[i] = target.state != nullptr
+                 ? attest_device(*target.state, *target.session, 0)
+                 : attest(*target.session);
   });
   return out;
 }
 
-std::vector<DeviceSession*> VerifierService::ordered_subset(
-    const std::vector<DeviceSession*>& sessions) {
-  std::vector<DeviceSession*> ordered;
+std::vector<VerifierService::AttestResult> VerifierService::verify_all(
+    common::ThreadPool& pool) {
+  // The subset sweep over the roster: the map walk is already in id
+  // order and hands over each device's state, so nothing is sorted or
+  // looked up again.
+  std::vector<SweepTarget> targets;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    targets.reserve(devices_.size());
+    for (auto& [id, state] : devices_) targets.push_back({state.session, &state});
+  }
+  return sweep(targets, pool);
+}
+
+std::vector<VerifierService::AttestResult> VerifierService::verify_all(
+    const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool) {
+  std::vector<SweepTarget> ordered;
   ordered.reserve(sessions.size());
   for (DeviceSession* session : sessions) {
     if (session == nullptr) {
       throw FleetError("verifier: subset sweep over a null session");
     }
-    ordered.push_back(session);
+    ordered.push_back({session, nullptr});
   }
   std::sort(ordered.begin(), ordered.end(),
-            [](const DeviceSession* a, const DeviceSession* b) {
-              return a->id() < b->id();
+            [](const SweepTarget& a, const SweepTarget& b) {
+              return a.session->id() < b.session->id();
             });
   for (size_t i = 1; i < ordered.size(); ++i) {
-    if (ordered[i - 1]->id() == ordered[i]->id()) {
+    if (ordered[i - 1].session->id() == ordered[i].session->id()) {
       throw FleetError("verifier: subset sweep lists device id '" +
-                       ordered[i]->id() + "' twice");
+                       ordered[i].session->id() + "' twice");
     }
   }
-  return ordered;
-}
-
-std::vector<VerifierService::AttestResult> VerifierService::verify_all(
-    const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool) {
-  std::vector<DeviceSession*> ordered = ordered_subset(sessions);
-  std::vector<AttestResult> out(ordered.size());
-  // attest() is the per-device subset body: it degrades to an
-  // attested = false entry for monitor-less sessions, enrolls CFA
-  // sessions on first contact, and takes the per-device locks -- the
-  // same semantics per device as the whole-fleet sweep.
-  pool.parallel_for(ordered.size(),
-                    [&](size_t i) { out[i] = attest(*ordered[i]); });
-  return out;
+  return sweep(ordered, pool);
 }
 
 // ------------------------------------------------------------------

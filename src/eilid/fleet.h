@@ -83,13 +83,14 @@
 //       of distinct ids proceed in parallel.
 //     - Fleet::find()/at()/size()/sessions()/decommission() against
 //       concurrent deploys of *other* ids.
-//     - VerifierService::enroll()/attest()/verify_all()/enrolled():
-//       each attestation locks its DeviceSession (per-device locking),
-//       so disjoint devices attest in parallel and the same device is
-//       never attested twice at once. The subset verify_all(sessions)
-//       keeps the same contract: a wave gate and a concurrent
-//       whole-fleet sweep serialize per device and interleave across
-//       devices.
+//     - VerifierService::enroll()/attest()/verify_all()/enrolled()/
+//       roster(): each attestation locks its DeviceSession (per-device
+//       locking), so disjoint devices attest in parallel and the same
+//       device is never attested twice at once. There is one sweep:
+//       the whole-fleet verify_all() is the subset sweep over the
+//       roster (the enrolled devices in id order), so a wave gate and
+//       a concurrent whole-fleet sweep serialize per device and
+//       interleave across devices.
 //     - apps::run_workload_all(): drives disjoint sessions
 //       concurrently, taking each session's lock for the duration.
 //     - UpdateCampaign::apply_to()/roll_out(): each device updates
@@ -104,25 +105,20 @@
 //       per-device locks above. The scheduler object
 //       itself is not shared across threads -- one run at a time per
 //       scheduler.
-//     - IncrementalVerifier::run_until() (src/eilid/incremental.h):
-//       windowed attestation rounds drain bounded slices via
-//       VerifierService::attest(session, max_edges) under the same
-//       per-device session locks as verify_all, so a rolling window
-//       interleaves safely with heartbeat sweeps, rollouts and
-//       workload drivers; its folded summaries are bit-identical to a
-//       barrier verify_all over the same evidence. One run_until at a
-//       time per verifier object
-//       (summaries() may be read concurrently).
-//     - HeartbeatScheduler::run_until()/HealthMonitor::run_until():
-//       heartbeat sweeps are verify_all subset sweeps (per-device
-//       locks), so they interleave safely with a concurrent rollout;
-//       remediation holds the device's session lock across its
-//       reflash and funnels its re-update through
-//       UpdateCampaign::apply_to(), the same lock an in-flight
-//       campaign takes -- so healing a device can never race a
-//       campaign mid-update on that device. FleetClock is atomic and
-//       monotonic (advance_to never moves time backwards). Like the
-//       campaign scheduler, one run at a time per monitor object.
+//     - HeartbeatScheduler/HealthMonitor/IncrementalVerifier
+//       run_until() (health.h, incremental.h): each watches the
+//       verifier's roster -- a device is watched exactly while it is
+//       enrolled, a session enrolled by hand too -- and a due tick the
+//       clock has already passed catches up onto its cadence
+//       (eilid::catch_up, clock.h). Heartbeat sweeps are subset sweeps
+//       and windowed slices are bounded attest() calls, both under the
+//       per-device session locks, so they interleave safely with
+//       rollouts and workload drivers. Remediation holds the device's
+//       lock across its reflash and re-updates through
+//       UpdateCampaign::apply_to(), the lock an in-flight campaign
+//       takes, so healing never races a campaign on that device.
+//       FleetClock is atomic and monotonic. One run_until at a time per
+//       object (summaries()/records() may be read concurrently).
 //
 //   Requires external synchronization:
 //     - A DeviceSession itself is single-threaded: do not call run()/
@@ -209,6 +205,12 @@ class VerifierService {
   void enroll(DeviceSession& session);
   bool enrolled(const std::string& device_id) const;
 
+  // The roster: every enrolled session in id order -- the fleet's
+  // kCfaBaseline devices (deploy()/decommission() enroll and withdraw
+  // them) plus any session enrolled by hand or by attest()'s first
+  // contact. verify_all() and every fleet-time scheduler walk it.
+  std::vector<DeviceSession*> roster() const;
+
   // Challenge one device now: fresh nonce, drain at most `max_edges`
   // edges of its log (0 = everything), check MAC + sequence + path.
   // Replay state persists across calls, so a sequence of bounded
@@ -220,11 +222,11 @@ class VerifierService {
   // (ok() false) and the session is not enrolled.
   AttestResult attest(DeviceSession& session, size_t max_edges = 0);
 
-  // Batched sweep over every enrolled device, in enrollment-id order,
-  // fanned out across `pool` with per-device locking. The verdicts do
-  // not depend on the pool (same verdicts, same enrollment-id order)
-  // because every device's replay state and sequence window are
-  // independent and nonces only feed the per-report MAC.
+  // Barrier sweep: the subset sweep below over the whole roster(), in
+  // enrollment-id order, fanned out across `pool` with per-device
+  // locking. The verdicts do not depend on the pool because every
+  // device's replay state and sequence window are independent and
+  // nonces only feed the per-report MAC.
   std::vector<AttestResult> verify_all(
       common::ThreadPool& pool = common::ThreadPool::inline_pool());
 
@@ -283,11 +285,16 @@ class VerifierService {
   // `max_edges` bounds the drain (0 = everything).
   AttestResult attest_device(DeviceState& state, DeviceSession& session,
                              size_t max_edges);
-  std::vector<DeviceState*> sweep_snapshot();
-  // Validated copy of a subset in enrollment-id order (throws on null
-  // pointers and duplicate ids).
-  static std::vector<DeviceSession*> ordered_subset(
-      const std::vector<DeviceSession*>& sessions);
+  // One sweep entry: the session to drain and its replay state (null:
+  // resolve it as attest() does).
+  struct SweepTarget {
+    DeviceSession* session;
+    DeviceState* state;
+  };
+  // The one fan-out body behind both verify_all()s: attest `targets`
+  // (enrollment-id order, no duplicates) across `pool`, by index.
+  std::vector<AttestResult> sweep(const std::vector<SweepTarget>& targets,
+                                  common::ThreadPool& pool);
 
   mutable std::mutex mu_;  // guards devices_ (the map structure only;
                            // per-device state is guarded by the

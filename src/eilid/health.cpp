@@ -1,9 +1,9 @@
 #include "eilid/health.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace eilid {
@@ -12,7 +12,9 @@ namespace eilid {
 
 HeartbeatScheduler::HeartbeatScheduler(Fleet& fleet, HeartbeatOptions options)
     : fleet_(&fleet), options_(options) {
-  if (options_.period == 0) options_.period = 1;
+  if (options_.period == 0) {
+    throw FleetError("heartbeat scheduler: period must be nonzero");
+  }
 }
 
 Tick HeartbeatScheduler::phase_for(const std::string& device_id) const {
@@ -30,56 +32,52 @@ HeartbeatReport HeartbeatScheduler::run_until(Tick deadline,
   HeartbeatReport report;
   report.from = clock.now();
 
-  // Adopt/prune against one registry snapshot: devices deployed since
-  // the last run join with enrollment == now, decommissioned ids drop
-  // out (their session pointers are gone). Only CFA-capable devices
-  // emit announcements, so only they are watched.
-  const std::vector<DeviceSession*> snapshot = fleet_->sessions();
-  std::map<std::string, DeviceSession*> by_id;
-  for (DeviceSession* session : snapshot) {
-    if (session->cfa_monitor() == nullptr) continue;
-    by_id.emplace(session->id(), session);
-  }
+  // Merge the records with the verifier's roster (both in id order):
+  // devices enrolled since the last run join with enrollment == now,
+  // withdrawn ids drop out, and the i-th record is roster[i]'s.
+  const std::vector<DeviceSession*> roster = fleet_->verifier().roster();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = records_.begin(); it != records_.end();) {
-      if (by_id.count(it->first) == 0) {
+    auto it = records_.begin();
+    for (DeviceSession* session : roster) {
+      while (it != records_.end() && it->first < session->id()) {
         it = records_.erase(it);
-      } else {
-        ++it;
       }
+      if (it == records_.end() || it->first != session->id()) {
+        FreshnessRecord record;
+        record.device_id = session->id();
+        record.enrolled_tick = report.from;
+        record.next_due =
+            report.from + options_.period + phase_for(record.device_id);
+        it = records_.emplace_hint(it, session->id(), std::move(record));
+      }
+      ++it;
     }
-    const Tick now = clock.now();
-    for (const auto& [id, session] : by_id) {
-      if (records_.count(id) != 0) continue;
-      FreshnessRecord record;
-      record.device_id = id;
-      record.enrolled_tick = now;
-      record.next_due = now + options_.period + phase_for(id);
-      records_.emplace(id, std::move(record));
-    }
+    records_.erase(it, records_.end());
   }
 
   // Fire beats in (tick, device-id) order: repeatedly find the earliest
   // due tick <= deadline, advance the clock to it, and sweep every
-  // device due on exactly that tick. Map iteration gives id order for
-  // free within a beat.
+  // device due on exactly that tick (record order is id order). A due
+  // tick the clock has already passed catches up onto its cadence first.
   for (;;) {
+    const Tick now = clock.now();
     Tick due = 0;
-    std::vector<std::string> due_ids;
+    std::vector<std::pair<DeviceSession*, FreshnessRecord*>> due_at;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      bool found = false;
-      for (const auto& [id, record] : records_) {
+      size_t i = 0;
+      for (auto& [id, record] : records_) {
+        DeviceSession* session = roster[i++];
+        record.next_due = catch_up(record.next_due, options_.period, now);
         if (record.next_due > deadline) continue;
-        if (!found || record.next_due < due) {
-          found = true;
+        if (due_at.empty() || record.next_due < due) {
           due = record.next_due;
-          due_ids.clear();
+          due_at.clear();
         }
-        if (found && record.next_due == due) due_ids.push_back(id);
+        if (record.next_due == due) due_at.emplace_back(session, &record);
       }
-      if (!found) break;
+      if (due_at.empty()) break;
     }
 
     clock.advance_to(due);
@@ -87,22 +85,25 @@ HeartbeatReport HeartbeatScheduler::run_until(Tick deadline,
     beat.tick = due;
 
     std::vector<DeviceSession*> online;
-    for (const std::string& id : due_ids) {
-      DeviceSession* session = by_id.at(id);
+    for (const auto& [session, record] : due_at) {
       if (session->online()) {
         online.push_back(session);
       } else {
-        beat.missed.push_back(id);
+        beat.missed.push_back(session->id());
       }
     }
     if (!online.empty()) {
       beat.verdicts = fleet_->verifier().verify_all(online, pool);
     }
 
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const std::string& id : beat.missed) {
-        FreshnessRecord& record = records_.at(id);
+    // Verdicts come back in id order, so one cursor pairs each due
+    // record with its verdict; a due record without one missed.
+    std::lock_guard<std::mutex> lock(mu_);
+    size_t next_verdict = 0;
+    for (const auto& [session, entry] : due_at) {
+      FreshnessRecord& record = *entry;
+      if (next_verdict == beat.verdicts.size() ||
+          beat.verdicts[next_verdict].device_id != record.device_id) {
         ++record.misses;
         ++record.consecutive_misses;
         // Exponential backoff (see HeartbeatOptions): the k-th
@@ -113,22 +114,20 @@ HeartbeatReport HeartbeatScheduler::run_until(Tick deadline,
             {record.consecutive_misses, options_.max_backoff_exponent,
              uint32_t{48}});
         record.next_due += options_.period << exponent;
+        continue;
       }
-      for (const VerifierService::AttestResult& verdict : beat.verdicts) {
-        FreshnessRecord& record = records_.at(verdict.device_id);
-        ++record.heartbeats;
-        record.consecutive_misses = 0;  // evidence arrived: cadence snaps back
-        record.last_attested_tick = due;
-        record.ever_attested = true;
-        if (verdict.ok()) {
-          record.last_ok_tick = due;
-          record.ever_ok = true;
-          record.convicted = false;
-        } else {
-          record.convicted = true;
-        }
-        record.next_due += options_.period;
+      ++record.heartbeats;
+      record.consecutive_misses = 0;  // evidence arrived: cadence snaps back
+      record.last_attested_tick = due;
+      record.ever_attested = true;
+      if (beat.verdicts[next_verdict++].ok()) {
+        record.last_ok_tick = due;
+        record.ever_ok = true;
+        record.convicted = false;
+      } else {
+        record.convicted = true;
       }
+      record.next_due += options_.period;
     }
     report.beats.push_back(std::move(beat));
   }
@@ -257,26 +256,16 @@ HealthReport HealthMonitor::run_until(Tick deadline,
   std::vector<QuarantineEntry> to_remediate;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Drop quarantine entries for devices the scheduler no longer
-    // watches (decommissioned): there is nothing left to remediate.
-    std::set<std::string> watched;
-    for (const FreshnessRecord& record : records) {
-      watched.insert(record.device_id);
-    }
-    for (auto it = quarantine_.begin(); it != quarantine_.end();) {
-      if (watched.count(it->first) == 0) {
-        heal_attempts_.erase(it->first);
-        it = quarantine_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    // Forget ids that left the roster (decommissioned). Quarantining
+    // reads heal_attempts_[id] into being, so one pass prunes both.
+    VerifierService& verifier = fleet_->verifier();
     for (auto it = heal_attempts_.begin(); it != heal_attempts_.end();) {
-      if (watched.count(it->first) == 0) {
-        it = heal_attempts_.erase(it);
-      } else {
+      if (verifier.enrolled(it->first)) {
         ++it;
+        continue;
       }
+      quarantine_.erase(it->first);
+      it = heal_attempts_.erase(it);
     }
     const uint32_t max_attempts = options_.policy.max_heal_attempts;
     for (const FreshnessRecord& record : records) {

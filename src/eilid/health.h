@@ -10,7 +10,8 @@
 //   - HeartbeatScheduler: drives periodic per-device attestation sweeps
 //     on a configurable cadence (plus a deterministic per-device jitter
 //     phase so a fleet's heartbeats don't all land on one tick),
-//     maintaining a FreshnessRecord per CFA-capable device:
+//     maintaining a FreshnessRecord per device on the verifier's roster
+//     (VerifierService::roster(): the enrolled CFA devices, id order):
 //     last_attested_tick, last_ok_tick, misses, convicted. An offline
 //     device (DeviceSession::set_online(false) -- the announcement
 //     stops arriving) records a miss and its freshness decays.
@@ -42,13 +43,19 @@
 //   // stale/convicted devices are already quarantined, reset,
 //   // re-updated and re-attested -- report says exactly what healed.
 //
+// Roster and catch-up: each run_until watches exactly the verifier's
+// roster (devices enrolled between runs join; withdrawn ones leave
+// records() and quarantined()), and a beat the clock has already
+// passed catches up onto its cadence (eilid::catch_up), no backlog.
+//
 // Concurrency contract: run_until(deadline, pool) fans each beat's
 // sweep and the remediation pass out over `pool` (the inline pool by
 // default) with the same per-device DeviceSession::mutex() locking as
 // VerifierService::verify_all and UpdateCampaign::apply_to; its
 // HealthReport does not depend on the pool, and repeated runs at the
-// same seed and clock schedule are bit-identical to each other. Remediation can never race an in-flight campaign on a
-// device: both funnel through UpdateCampaign::apply_to, which holds the
+// same seed and clock schedule are bit-identical to each other.
+// Remediation can never race an in-flight campaign on a device: both
+// funnel through UpdateCampaign::apply_to, which holds the
 // device's session mutex from package verification through CFG-epoch
 // staging, so the two updates serialize per device and each one's
 // outcome is decided entirely under the lock. A scheduler/monitor
@@ -135,18 +142,17 @@ struct HeartbeatReport {
   bool operator==(const HeartbeatReport&) const = default;
 };
 
-// Drives periodic attestation sweeps. Watches every CFA-capable
-// session in the fleet's registry (non-CFA devices emit no
-// announcements and are not judged); devices deployed after
-// construction join on the next run_until, decommissioned devices are
-// pruned (decommission must not race a run, per the fleet contract).
+// Drives periodic attestation sweeps over the verifier's roster, re-read
+// each run_until (decommission must not race a run, per the fleet
+// contract). Throws eilid::FleetError on period == 0.
 class HeartbeatScheduler {
  public:
   explicit HeartbeatScheduler(Fleet& fleet, HeartbeatOptions options = {});
 
   // Advance fleet time to `deadline`, firing every due heartbeat on the
-  // way in deterministic (tick, device-id) order. Each beat sweeps the
-  // online due devices via the verifier's subset sweep over `pool`
+  // way in deterministic (tick, device-id) order; a beat the clock has
+  // already passed catches up onto its cadence first. Each beat sweeps
+  // the online due devices via the verifier's subset sweep over `pool`
   // (per-device locking; the report does not depend on the pool) and
   // updates the freshness records.
   HeartbeatReport run_until(
@@ -293,7 +299,7 @@ class HealthMonitor {
   // erased when a device heals and leaves quarantine_ -- the
   // max_heal_attempts budget is per device lifetime, which is what
   // breaks the heal -> re-convict forever-loop. Pruned only when the
-  // scheduler stops watching the id (decommission).
+  // id leaves the verifier's roster (decommission).
   std::map<std::string, uint32_t> heal_attempts_;
   std::optional<UpdateCampaign> remediation_;
 };

@@ -43,47 +43,39 @@ IncrementalVerifier::WindowReport IncrementalVerifier::run_until(
   FleetClock& clock = fleet_->clock();
   WindowReport report;
   report.from = clock.now();
-  if (!scheduled_ || next_round_ < report.from) {
-    // First run, or the driver advanced the clock elsewhere (a
-    // heartbeat window, a rollout soak) past the pending round:
-    // re-anchor the cadence at now instead of replaying a backlog of
-    // degenerate rounds all at the same (already-reached) tick.
-    next_round_ = report.from + options_.period;
-    scheduled_ = true;
-  }
+  if (next_round_ == 0) next_round_ = report.from + options_.period;
   const size_t max_edges = max_edges_per_slice();
 
-  while (next_round_ <= deadline) {
+  for (;;) {
+    // A round the clock has already passed (a heartbeat window or a
+    // rollout soak advanced it) catches up onto the cadence instead of
+    // replaying a backlog of rounds at ticks already gone.
+    next_round_ = catch_up(next_round_, options_.period, clock.now());
+    if (next_round_ > deadline) break;
     clock.advance_to(next_round_);
     Round round;
     round.tick = next_round_;
 
-    // Re-snapshot the watched set each round (CFA-capable sessions in
-    // device-id order) so deployments mid-window join the rotation.
-    std::vector<DeviceSession*> watched;
-    for (DeviceSession* session : fleet_->sessions()) {
-      if (session->cfa_monitor() != nullptr) watched.push_back(session);
-    }
-    std::sort(watched.begin(), watched.end(),
-              [](const DeviceSession* a, const DeviceSession* b) {
-                return a->id() < b->id();
-              });
-
-    if (!watched.empty()) {
+    // The roster is re-read each round, so devices enrolled mid-window
+    // join the rotation.
+    const std::vector<DeviceSession*> roster = fleet_->verifier().roster();
+    if (!roster.empty()) {
       // Resume the cyclic id-order walk strictly after the cursor. The
       // cursor advances past *examined* devices, not just sliced ones,
       // so a run of offline devices cannot stall the rotation.
-      size_t start = 0;
-      while (start < watched.size() && watched[start]->id() <= cursor_) {
-        ++start;
-      }
+      const size_t start =
+          std::upper_bound(roster.begin(), roster.end(), cursor_,
+                           [](const std::string& id, const DeviceSession* s) {
+                             return id < s->id();
+                           }) -
+          roster.begin();
       const size_t budget = options_.max_devices_per_tick == 0
-                                ? watched.size()
+                                ? roster.size()
                                 : options_.max_devices_per_tick;
       std::vector<DeviceSession*> picked;
       for (size_t examined = 0;
-           examined < watched.size() && picked.size() < budget; ++examined) {
-        DeviceSession* session = watched[(start + examined) % watched.size()];
+           examined < roster.size() && picked.size() < budget; ++examined) {
+        DeviceSession* session = roster[(start + examined) % roster.size()];
         cursor_ = session->id();
         if (session->online()) picked.push_back(session);
       }
@@ -116,10 +108,7 @@ std::vector<AttestSummary> IncrementalVerifier::summaries() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<AttestSummary> out;
   out.reserve(summaries_.size());
-  for (const auto& [id, summary] : summaries_) {
-    (void)id;
-    out.push_back(summary);
-  }
+  for (const auto& [id, summary] : summaries_) out.push_back(summary);
   return out;
 }
 

@@ -27,6 +27,10 @@
 //     bit-identical summary (tests/test_fleet_scale.cpp and
 //     bench_fleet_10k gate this, serial and pooled).
 //
+// Each round walks the verifier's roster (VerifierService::roster())
+// on from the rotation cursor; a round the clock has already passed
+// catches up onto the cadence (eilid::catch_up), as heartbeats do.
+//
 // Concurrency contract: run_until(deadline, pool) fans each round's
 // slices out over `pool` (the inline pool by default) with the same
 // per-device DeviceSession::mutex() locking as
@@ -112,9 +116,7 @@ class IncrementalVerifier {
     bool operator==(const WindowReport&) const = default;
   };
 
-  // Watches every CFA-capable session in the fleet's registry, like
-  // HeartbeatScheduler: devices deployed later join on the next round,
-  // decommissioned devices drop out (decommission must not race a run,
+  // Watches the verifier's roster (decommission must not race a run,
   // per the fleet contract). Throws eilid::FleetError on period == 0.
   explicit IncrementalVerifier(Fleet& fleet, IncrementalOptions options = {});
 
@@ -123,10 +125,9 @@ class IncrementalVerifier {
   // devices, drain at most max_bytes_per_slice from each
   // (VerifierService::attest(session, max_edges) -- per-device locks
   // and replay state shared with the barrier sweeps), fanned out over
-  // `pool`, and fold every verdict into the per-device summaries. If
-  // another scheduler advanced the clock past the pending round between
-  // calls, the cadence re-anchors at the current tick (no backlog of
-  // degenerate rounds is replayed).
+  // `pool`, and fold every verdict into the per-device summaries. A
+  // round the clock has already passed catches up onto the cadence (no
+  // backlog of degenerate rounds is replayed).
   WindowReport run_until(
       Tick deadline,
       common::ThreadPool& pool = common::ThreadPool::inline_pool());
@@ -148,10 +149,10 @@ class IncrementalVerifier {
   mutable std::mutex mu_;  // guards summaries_ against concurrent readers
   std::map<std::string, AttestSummary> summaries_;
   // Rotation state: the id the last round stopped at (next round
-  // resumes strictly after it, wrapping), and the next due tick.
+  // resumes strictly after it, wrapping), and the next due tick (0
+  // until the first run_until anchors it one period out).
   std::string cursor_;
   Tick next_round_ = 0;
-  bool scheduled_ = false;
 };
 
 }  // namespace eilid

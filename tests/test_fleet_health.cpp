@@ -15,10 +15,12 @@
 
 #include "apps/apps.h"
 #include "attacks/attack.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "eilid/fleet.h"
 #include "eilid/health.h"
+#include "eilid/incremental.h"
 #include "eilid/rollout.h"
 
 namespace eilid {
@@ -216,6 +218,42 @@ TEST(HeartbeatTest, PooledRunBitIdenticalToSerial) {
   const auto pooled = run(true);
   EXPECT_TRUE(serial.first == pooled.first);
   EXPECT_TRUE(serial.second == pooled.second);
+}
+
+// Another actor moves the clock far past the schedule between runs: a
+// due beat the clock has already passed catches up onto the device's
+// cadence (the first tick >= now) instead of replaying a backlog of
+// beats stamped with ticks that are already gone.
+TEST(HeartbeatTest, ClockJumpCatchesUpOntoTheCadence) {
+  Fleet fleet;
+  provision_fleet(fleet, 3);
+  HeartbeatScheduler scheduler(fleet, {.period = 10});
+  scheduler.run_until(100);
+  fleet.clock().advance_to(1000);
+  const HeartbeatReport report = scheduler.run_until(1010);
+
+  ASSERT_EQ(report.beats.size(), 2u);
+  EXPECT_EQ(report.beats[0].tick, 1000u);
+  EXPECT_EQ(report.beats[1].tick, 1010u);
+  for (const HeartbeatBeat& beat : report.beats) {
+    ASSERT_EQ(beat.verdicts.size(), 3u);
+    for (const auto& verdict : beat.verdicts) {
+      EXPECT_EQ(verdict.tick, beat.tick) << verdict.device_id;
+    }
+  }
+  for (const FreshnessRecord& record : scheduler.records()) {
+    EXPECT_EQ(record.heartbeats, 12u) << record.device_id;
+    EXPECT_EQ(record.last_ok_tick, 1010u) << record.device_id;
+    EXPECT_EQ(record.next_due, 1020u) << record.device_id;
+  }
+}
+
+TEST(HeartbeatTest, ZeroPeriodThrows) {
+  Fleet fleet;
+  EXPECT_THROW(HeartbeatScheduler(fleet, {.period = 0}), FleetError);
+  EXPECT_THROW(
+      HealthMonitor(fleet, {.heartbeat = {.period = 0}, .policy = {}}),
+      FleetError);
 }
 
 // --------------------------------------------------- quarantine decision
@@ -702,6 +740,123 @@ TEST(RollbackTest, PooledRollbackReportBitIdenticalToSerial) {
   EXPECT_TRUE(serial.rolled_back);
   EXPECT_TRUE(serial == pooled);
 }
+
+// ---------------------------------------------------------------- roster
+
+// The fleet-time schedulers watch the verifier's enrolled devices:
+// kCfaBaseline devices deployed between runs join, decommissioned ones
+// leave. Each case runs on the inline pool and on four workers.
+class RosterTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  common::ThreadPool& pool() {
+    if (GetParam() == 0) return common::ThreadPool::inline_pool();
+    if (workers_ == nullptr) {
+      workers_ = std::make_unique<common::ThreadPool>(GetParam());
+    }
+    return *workers_;
+  }
+
+  // A late kCfaBaseline device (dev-02) plus a kCasu one, which emits
+  // no announcements and so is never watched.
+  static void deploy_late(Fleet& fleet) {
+    fleet.provision(device_id(2), firmware(0), "fw",
+                    EnforcementPolicy::kCfaBaseline,
+                    {.cfa = {.log_capacity = 65536}})
+        .run_to_symbol("halt", 100000);
+    fleet.provision("casu-00", firmware(0), "fw", EnforcementPolicy::kCasu)
+        .run_to_symbol("halt", 100000);
+  }
+
+ private:
+  std::unique_ptr<common::ThreadPool> workers_;
+};
+
+TEST_P(RosterTest, DeployedDeviceJoinsHeartbeats) {
+  Fleet fleet;
+  provision_fleet(fleet, 2);
+  HeartbeatScheduler scheduler(fleet, {.period = 10});
+  scheduler.run_until(50, pool());
+  ASSERT_EQ(scheduler.records().size(), 2u);
+
+  deploy_late(fleet);
+  const HeartbeatReport report = scheduler.run_until(100, pool());
+  ASSERT_EQ(report.beats.size(), 5u);
+  for (const HeartbeatBeat& beat : report.beats) {
+    ASSERT_EQ(beat.verdicts.size(), 3u) << beat.tick;
+    EXPECT_EQ(beat.verdicts[2].device_id, device_id(2));
+  }
+  EXPECT_EQ(scheduler.records().size(), 3u);
+  const FreshnessRecord late = scheduler.record(device_id(2));
+  EXPECT_EQ(late.enrolled_tick, 50u);
+  EXPECT_EQ(late.heartbeats, 5u);
+  EXPECT_EQ(late.last_ok_tick, 100u);
+  EXPECT_EQ(scheduler.record("casu-00"), FreshnessRecord{});
+}
+
+TEST_P(RosterTest, DeployedDeviceJoinsWindowRotation) {
+  Fleet fleet;
+  provision_fleet(fleet, 2);
+  IncrementalVerifier window(fleet, {.period = 10,
+                                     .max_devices_per_tick = 1,
+                                     .max_bytes_per_slice = 0});
+  // One device per round: dev-00 at 10, dev-01 at 20.
+  ASSERT_EQ(window.run_until(20, pool()).rounds.size(), 2u);
+
+  deploy_late(fleet);
+  const auto report = window.run_until(30, pool());
+  ASSERT_EQ(report.rounds.size(), 1u);
+  ASSERT_EQ(report.rounds[0].slices.size(), 1u);
+  EXPECT_EQ(report.rounds[0].slices[0].device_id, device_id(2));
+  EXPECT_TRUE(report.rounds[0].slices[0].ok());
+  EXPECT_GT(window.summary(device_id(2)).edges, 0u);
+  EXPECT_EQ(window.summary("casu-00"), AttestSummary{});
+}
+
+TEST_P(RosterTest, DecommissionedDeviceLeavesRecordsAndQuarantine) {
+  Fleet fleet;
+  provision_fleet(fleet, 3);
+  HealthMonitor health(fleet, {.heartbeat = {.period = 100},
+                               .policy = {.staleness_threshold = 150}});
+  health.stage_remediation(
+      fleet.stage_update(fleet.at(device_id(0)).shared_build()));
+
+  // dev-01 goes dark: stale by 300, one unreachable remediation.
+  fleet.at(device_id(1)).set_online(false);
+  health.run_until(300, pool());
+  ASSERT_EQ(health.quarantined().size(), 1u);
+  EXPECT_EQ(health.quarantined()[0].remediation_attempts, 1u);
+
+  fleet.decommission(device_id(1));
+  const HealthReport gone = health.run_until(400, pool());
+  EXPECT_EQ(gone.quarantined_after, 0u);
+  EXPECT_TRUE(health.quarantined().empty());
+  ASSERT_EQ(health.records().size(), 2u);
+  EXPECT_EQ(health.records()[0].device_id, device_id(0));
+  EXPECT_EQ(health.records()[1].device_id, device_id(2));
+
+  // Redeployed under the same id, the device starts over: a fresh
+  // record, and zero heal attempts when it goes stale again.
+  fleet.provision(device_id(1), firmware(0), "fw",
+                  EnforcementPolicy::kCfaBaseline,
+                  {.cfa = {.log_capacity = 65536}})
+      .set_online(false);
+  const HealthReport again = health.run_until(600, pool());
+  ASSERT_EQ(again.newly_quarantined.size(), 1u);
+  EXPECT_EQ(again.newly_quarantined[0].device_id, device_id(1));
+  EXPECT_EQ(again.newly_quarantined[0].remediation_attempts, 0u);
+  ASSERT_EQ(health.quarantined().size(), 1u);
+  EXPECT_EQ(health.quarantined()[0].remediation_attempts, 1u);
+  const FreshnessRecord fresh = health.scheduler().record(device_id(1));
+  EXPECT_EQ(fresh.enrolled_tick, 400u);
+  EXPECT_EQ(fresh.misses, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Pools, RosterTest, ::testing::Values(0u, 4u),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return info.param == 0
+                                      ? std::string("inline")
+                                      : "pool" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace eilid

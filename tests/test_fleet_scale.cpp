@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "casu/update.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "eilid/fleet.h"
@@ -498,6 +499,36 @@ TEST(IncrementalVerifierTest, RotationCoversEveryDeviceAndSkipsOffline) {
   }
   // The offline device's log is untouched, waiting for its return.
   EXPECT_GT(fleet.at(device_id(2)).cfa_monitor()->log_size(), 0u);
+}
+
+// A round the clock has already passed (another actor advanced it)
+// catches up onto the cadence: the first round lands on the first tick
+// >= now, not one period after it. Serial and pooled.
+TEST(IncrementalVerifierTest, ClockJumpCatchesUpOntoTheCadence) {
+  common::ThreadPool workers(4);
+  for (common::ThreadPool* pool :
+       {&common::ThreadPool::inline_pool(), &workers}) {
+    Fleet fleet;
+    provision_fleet(fleet, 3);
+    IncrementalVerifier window(
+        fleet, {.period = 10, .max_devices_per_tick = 1,
+                .max_bytes_per_slice = 0});
+    ASSERT_EQ(window.run_until(100, *pool).rounds.size(), 10u);
+    fleet.clock().advance_to(1005);
+    const auto report = window.run_until(1030, *pool);
+    ASSERT_EQ(report.rounds.size(), 3u);
+    for (size_t r = 0; r < report.rounds.size(); ++r) {
+      const IncrementalVerifier::Round& round = report.rounds[r];
+      EXPECT_EQ(round.tick, 1010u + 10 * r);
+      ASSERT_EQ(round.slices.size(), 1u);
+      EXPECT_EQ(round.slices[0].tick, round.tick);
+    }
+  }
+}
+
+TEST(IncrementalVerifierTest, ZeroPeriodThrows) {
+  Fleet fleet;
+  EXPECT_THROW(IncrementalVerifier(fleet, {.period = 0}), FleetError);
 }
 
 // ------------------------------------------------- heartbeat backoff
