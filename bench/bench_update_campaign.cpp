@@ -14,7 +14,12 @@
 //   - post-rollout, every device attests ok() against the new CFG and
 //     still runs predecoded,
 //   - each row's outcome tuples are identical to the serial row's, in
-//     input order (verdict determinism).
+//     input order (verdict determinism),
+//   - an untimed refusal pass after the rows: with a few devices' code
+//     patched out of band (a secure-ROM byte, a PMEM byte, or the reset
+//     vector at 0xFFFF), exactly those devices are refused
+//     kImageMismatch and every other device is kApplied, with identical
+//     outcome tuples from a serial and a pooled rollout.
 // Updates/sec are reported but not gated (host-dependent).
 //
 // Usage: bench_update_campaign [--smoke]   (--smoke: CI-sized fleet)
@@ -26,6 +31,7 @@
 
 #include "src/common/thread_pool.h"
 #include "src/eilid/fleet.h"
+#include "src/sim/memory_map.h"
 
 using namespace eilid;
 
@@ -142,6 +148,33 @@ RowResult run_row(size_t threads, size_t devices) {
   return row;
 }
 
+// Devices the refusal pass patches out of band: every eighth.
+bool patched(size_t i) { return i % 8 == 5; }
+
+// Mixed-version fleet as in run_row, with the patched devices' code
+// flipped by one byte behind the update engine's back (raw bus store,
+// no package), then rolled out to generation 3 over `pool`.
+std::vector<UpdateOutcome> mismatch_rollout(size_t devices,
+                                            common::ThreadPool& pool) {
+  Fleet fleet;
+  for (size_t i = 0; i < devices; ++i) {
+    DeviceSession& dev = fleet.provision(
+        "dev-" + std::to_string(i), firmware(i % 2 == 0 ? 1 : 2), "fw",
+        EnforcementPolicy::kCfaBaseline);
+    dev.run_to_symbol("halt", 100000);
+    if (!patched(i)) continue;
+    const uint16_t targets[] = {static_cast<uint16_t>(sim::kRomStart + i),
+                                static_cast<uint16_t>(0xE800 + i), 0xFFFF};
+    const uint16_t addr = targets[(i / 8) % 3];
+    sim::Bus& bus = dev.machine().bus();
+    bus.raw_store_byte(addr, static_cast<uint8_t>(bus.raw_byte(addr) ^ 0xA5));
+  }
+  core::BuildOptions plain;
+  plain.eilid = false;
+  UpdateCampaign campaign = fleet.stage_update(firmware(3), "fw", plain);
+  return campaign.roll_out(fleet.sessions(), pool);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -187,6 +220,35 @@ int main(int argc, char** argv) {
   }
   std::printf("outcomes: %zu per row, identical across all thread counts\n",
               base.outcomes.size());
+
+  common::ThreadPool pool(4);
+  const std::vector<UpdateOutcome> serial =
+      mismatch_rollout(devices, common::ThreadPool::inline_pool());
+  const std::vector<UpdateOutcome> pooled = mismatch_rollout(devices, pool);
+  size_t refused = 0;
+  size_t applied = 0;
+  size_t wrong = 0;
+  for (size_t i = 0; i < serial.size(); ++i) {
+    const UpdateResult expected =
+        patched(i) ? UpdateResult::kImageMismatch : UpdateResult::kApplied;
+    if (serial[i].result != expected) {
+      std::printf("  !! refusal pass: %s is %s, expected %s\n",
+                  serial[i].device_id.c_str(),
+                  std::string(update_result_name(serial[i].result)).c_str(),
+                  std::string(update_result_name(expected)).c_str());
+      ++wrong;
+    } else if (patched(i)) {
+      ++refused;
+    } else {
+      ++applied;
+    }
+  }
+  std::printf("refusal pass: %zu patched devices refused image-mismatch, "
+              "%zu applied, serial %s pooled\n",
+              refused, applied, serial == pooled ? "==" : "!=");
+  if (wrong != 0 || serial.size() != devices || serial != pooled) {
+    ok = false;
+  }
   std::printf("%s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/error.h"
 #include "sim/memory_map.h"
+#include "sim/paged_memory.h"
 
 namespace eilid::core {
 
@@ -22,28 +24,45 @@ std::vector<uint8_t> flat_memory(const BuildResult& build) {
   return flat;
 }
 
+std::shared_ptr<const std::vector<uint8_t>> shared_flat_image(
+    const BuildResult& build) {
+  if (build.flat_image != nullptr) return build.flat_image;
+  return std::make_shared<const std::vector<uint8_t>>(flat_memory(build));
+}
+
 ImageDiff diff_builds(const BuildResult& from, const BuildResult& to) {
   ImageDiff diff;
-  const std::vector<uint8_t> a = flat_memory(from);
-  const std::vector<uint8_t> b = flat_memory(to);
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == b[i]) continue;
-    const uint16_t addr = static_cast<uint16_t>(i);
-    if (!sim::is_pmem(addr)) {
-      diff.compatible = false;
-      diff.first_incompatible = addr;
-      diff.regions.clear();
-      diff.payload_bytes = 0;
-      return diff;
+  const auto a_image = shared_flat_image(from);
+  const auto b_image = shared_flat_image(to);
+  const std::vector<uint8_t>& a = *a_image;
+  const std::vector<uint8_t>& b = *b_image;
+  // Equal pages are skipped with one memcmp; only pages that differ
+  // are walked byte by byte, in address order, so regions,
+  // payload_bytes and first_incompatible come out as a full byte walk
+  // would produce them.
+  constexpr size_t kPage = sim::PagedMemory::kPageBytes;
+  for (size_t page = 0; page < a.size(); page += kPage) {
+    if (std::memcmp(a.data() + page, b.data() + page, kPage) == 0) continue;
+    for (size_t i = page; i < page + kPage; ++i) {
+      if (a[i] == b[i]) continue;
+      const uint16_t addr = static_cast<uint16_t>(i);
+      if (!sim::is_pmem(addr)) {
+        diff.compatible = false;
+        diff.first_incompatible = addr;
+        diff.regions.clear();
+        diff.payload_bytes = 0;
+        return diff;
+      }
+      if (!diff.regions.empty() &&
+          diff.regions.back().target_addr +
+                  diff.regions.back().payload.size() ==
+              i) {
+        diff.regions.back().payload.push_back(b[i]);
+      } else {
+        diff.regions.push_back({addr, {b[i]}});
+      }
+      ++diff.payload_bytes;
     }
-    if (!diff.regions.empty() &&
-        diff.regions.back().target_addr + diff.regions.back().payload.size() ==
-            i) {
-      diff.regions.back().payload.push_back(b[i]);
-    } else {
-      diff.regions.push_back({addr, {b[i]}});
-    }
-    ++diff.payload_bytes;
   }
   return diff;
 }

@@ -79,6 +79,13 @@ BuildResult build_app(const std::string& source, const std::string& name,
 // read builds through this one definition.
 std::vector<uint8_t> flat_memory(const BuildResult& build);
 
+// The build's cached flat_image, or -- for a build made outside
+// build_app, which carries none -- a freshly flattened copy. Sessions
+// flash from it and campaigns check devices against it, so for a
+// build_app build both hold the one shared image.
+std::shared_ptr<const std::vector<uint8_t>> shared_flat_image(
+    const BuildResult& build);
+
 // Byte diff between two builds' flashed images, expressed as the
 // coalesced PMEM write regions an authenticated update must apply to
 // move a device from `from` to `to`. A difference outside PMEM (a

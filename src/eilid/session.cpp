@@ -97,11 +97,7 @@ DeviceSession::DeviceSession(std::string device_id,
   // N sessions of one build now share one image and privately own only
   // the pages they dirty. Builds made outside build_app may lack the
   // cached snapshot; take the one-off copy then.
-  machine_.bus().attach_base_image(
-      build_->flat_image != nullptr
-          ? build_->flat_image
-          : std::make_shared<const std::vector<uint8_t>>(
-                core::flat_memory(*build_)));
+  machine_.bus().attach_base_image(core::shared_flat_image(*build_));
   // Attach the build's shared execution tables *after* the flash (the
   // attachment snapshots the bus's code generation, so it must see the
   // flashed state). Every session of this build shares the same tables.
@@ -183,10 +179,7 @@ void DeviceSession::adopt_build(std::shared_ptr<const core::BuildResult> next) {
   // a campaign instead of accreting one dirtied PMEM copy per update.
   // reflash() also restores against the adopted image from here on.
   sim::Bus& bus = machine_.bus();
-  bus.attach_base_image(build_->flat_image != nullptr
-                            ? build_->flat_image
-                            : std::make_shared<const std::vector<uint8_t>>(
-                                  core::flat_memory(*build_)));
+  bus.attach_base_image(core::shared_flat_image(*build_));
   bus.reclaim_identical_pages(sim::kRomStart, sim::kRomEnd);
   bus.reclaim_identical_pages(sim::kPmemStart, 0xFFFF);
   // The update's stores bumped the bus code generation (as does the

@@ -34,10 +34,10 @@ UpdateCampaign::UpdateCampaign(Fleet& fleet,
 
 UpdateCampaign::FromState UpdateCampaign::diff_from(
     const std::shared_ptr<const core::BuildResult>& from) {
-  // Diffing is two 64 KiB flattens plus a byte compare -- cheap enough
-  // to run under the cache lock; the common case (every device on one
-  // from-build) computes it once and the rest of a pooled rollout hits
-  // the cache.
+  // Diffing is a page-wise memcmp of the two builds' cached images --
+  // cheap enough to run under the cache lock; the common case (every
+  // device on one from-build) computes it once and the rest of a
+  // pooled rollout hits the cache.
   std::lock_guard<std::mutex> lock(diffs_->mu);
   auto it = diffs_->diffs.find(from.get());
   if (it != diffs_->diffs.end()) return it->second;
@@ -45,8 +45,12 @@ UpdateCampaign::FromState UpdateCampaign::diff_from(
   state.from = from;
   state.diff = std::make_shared<const core::ImageDiff>(
       core::diff_builds(*from, *target_));
-  state.from_flat =
-      std::make_shared<const std::vector<uint8_t>>(core::flat_memory(*from));
+  // The from-build's shared image is the very object a session's
+  // never-written pages view, so the mismatch check passes those pages
+  // on a pointer compare. A build made outside build_app has none and
+  // gets a flattened copy (its sessions' bases are copies too, so every
+  // page takes the memcmp path -- same verdict, just slower).
+  state.from_flat = core::shared_flat_image(*from);
   diffs_->diffs.emplace(from.get(), state);
   return state;
 }
@@ -100,17 +104,14 @@ UpdateOutcome UpdateCampaign::apply_locked(DeviceSession& session) {
   // before anything is applied. The scan covers both predecoded ranges
   // (secure ROM and PMEM): ROM is load-time image content for every
   // legitimate device, but a kNone device could have scribbled there.
+  // The compare is page-granular: a page still viewing the from-build's
+  // shared image passes on a pointer compare, and only pages the device
+  // owns (or that view another copy) are memcmp'd -- exact either way.
   const sim::Bus& bus = session.machine().bus();
-  const std::pair<size_t, size_t> code_ranges[] = {
-      {sim::kRomStart, sim::kRomEnd}, {sim::kPmemStart, 0xFFFF}};
-  for (const auto& [first, last] : code_ranges) {
-    for (size_t addr = first; addr <= last; ++addr) {
-      if (bus.raw_byte(static_cast<uint16_t>(addr)) !=
-          (*state.from_flat)[addr]) {
-        out.result = UpdateResult::kImageMismatch;
-        return out;
-      }
-    }
+  if (!bus.raw_range_equals(sim::kRomStart, sim::kRomEnd, *state.from_flat) ||
+      !bus.raw_range_equals(sim::kPmemStart, 0xFFFF, *state.from_flat)) {
+    out.result = UpdateResult::kImageMismatch;
+    return out;
   }
 
   casu::UpdatePackage package = package_locked(session, *state.diff);

@@ -62,11 +62,11 @@ enum class UpdateResult : uint8_t {
   kIncompatible,    // transition not expressible as a CASU update
                     // (ROM/non-PMEM bytes differ, or policy forbids
                     // the target build)
-  kImageMismatch,   // the device's PMEM no longer matches its recorded
-                    // build (out-of-band patch, self-modification): a
-                    // build-to-build diff would leave memory matching
-                    // neither image, so the transition is refused and
-                    // nothing is applied
+  kImageMismatch,   // the device's code (secure ROM + PMEM) no longer
+                    // matches its recorded build (out-of-band patch,
+                    // self-modification): a build-to-build diff would
+                    // leave memory matching neither image, so the
+                    // transition is refused and nothing is applied
   kInterrupted,     // lossy-transport path only: the delivery's retry
                     // budget ran out (or the device was unreachable)
                     // with the transfer incomplete. The device still
@@ -176,11 +176,15 @@ class UpdateCampaign {
                  CampaignOptions options);
 
   // Everything the campaign derives from one distinct from-build: the
-  // diff to the target, and the flat image the device's PMEM must
-  // still equal for that diff to be applicable.
+  // diff to the target, and the flat image the device's code (secure
+  // ROM + PMEM) must still equal for that diff to be applicable.
   struct FromState {
     std::shared_ptr<const core::BuildResult> from;  // pins the build
     std::shared_ptr<const core::ImageDiff> diff;
+    // The from-build's shared flat_image -- the same object every
+    // session of that build views as its copy-on-write base, so clean
+    // pages match by pointer. A flattened copy only when the build
+    // carries no cached image.
     std::shared_ptr<const std::vector<uint8_t>> from_flat;
   };
 

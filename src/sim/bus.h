@@ -160,6 +160,13 @@ class Bus {
   // Bulk image load (wraps at the top of the address space like the
   // byte-at-a-time loop it replaces).
   void raw_store_bytes(uint16_t addr, std::span<const uint8_t> bytes);
+  // True iff backing memory over [first, last] reads exactly
+  // image[addr] (a 64 KiB image); see PagedMemory::range_equals --
+  // pages still viewing `image` itself pass on a pointer compare.
+  bool raw_range_equals(uint16_t first, uint16_t last,
+                        const std::vector<uint8_t>& image) const {
+    return mem_.range_equals(first, last, image);
+  }
 
   // Monotonic counter of stores that landed at or above the code floor
   // (secure ROM, the unmapped gap, and PMEM). A predecoded image

@@ -1,5 +1,6 @@
 #include "sim/paged_memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace eilid::sim {
@@ -102,6 +103,25 @@ void PagedMemory::reclaim_identical(uint16_t first, uint16_t last) {
       release(page, shared);
     }
   }
+}
+
+bool PagedMemory::range_equals(uint16_t first, uint16_t last,
+                               const std::vector<uint8_t>& image) const {
+  size_t addr = first;
+  const size_t end = static_cast<size_t>(last) + 1;
+  while (addr < end) {
+    const size_t page = addr >> 8;
+    const size_t page_start = page * kPageBytes;
+    const size_t stop = std::min(end, page_start + kPageBytes);
+    const uint8_t* want = image.data() + page_start;
+    if (read_[page] != want &&
+        std::memcmp(read_[page] + (addr - page_start),
+                    want + (addr - page_start), stop - addr) != 0) {
+      return false;
+    }
+    addr = stop;
+  }
+  return true;
 }
 
 void PagedMemory::store_bytes(uint16_t addr, const uint8_t* bytes,

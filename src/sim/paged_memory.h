@@ -96,6 +96,15 @@ class PagedMemory {
   // byte-at-a-time loop it models.
   void store_bytes(uint16_t addr, const uint8_t* bytes, size_t len);
 
+  // --- page-granular compare ----------------------------------------
+  // True iff every byte of [first, last] reads exactly image[addr];
+  // `image` must hold 65536 bytes. A page whose read view *is* that
+  // image's page (pointer-equal: the shared base a never-written page
+  // reads through) passes without being read; every other page --
+  // owned, wiped, or viewing a different base -- costs one memcmp.
+  bool range_equals(uint16_t first, uint16_t last,
+                    const std::vector<uint8_t>& image) const;
+
   // --- accounting ---------------------------------------------------
   // Private bytes this instance holds beyond the shared base image:
   // materialized pages (owned + free-listed) plus the page tables.

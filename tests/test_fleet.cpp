@@ -3,10 +3,15 @@
 // between sessions that share one cached build.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "apps/apps.h"
 #include "attacks/attack.h"
 #include "common/error.h"
 #include "eilid/fleet.h"
+#include "eilid/pipeline.h"
+#include "sim/memory_map.h"
 
 namespace eilid {
 namespace {
@@ -544,6 +549,110 @@ TEST(UpdateCampaignTest, DivergedDeviceRefusedCleanDeviceUpdates) {
   // from-build.
   auto clean_outcome = campaign.apply_to(clean);
   EXPECT_EQ(clean_outcome.result, UpdateResult::kApplied);
+}
+
+// Options of the uninstrumented builds the campaign tests below stage.
+core::BuildOptions plain_build() {
+  core::BuildOptions options;
+  options.eilid = false;
+  return options;
+}
+
+// The mismatch check covers secure ROM as well as PMEM: one byte of
+// ROM changed behind the update engine's back is refused.
+TEST(UpdateCampaignTest, DivergedSecureRomRefused) {
+  Fleet fleet;
+  DeviceSession& dev =
+      fleet.provision("rom", kFwV1, "fw", EnforcementPolicy::kCfaBaseline);
+  dev.run_to_symbol("halt", 100000);
+  sim::Bus& bus = dev.machine().bus();
+  const uint16_t addr = sim::kRomStart + 0x123;
+  bus.raw_store_byte(addr, static_cast<uint8_t>(bus.raw_byte(addr) ^ 0x5A));
+
+  UpdateCampaign campaign = fleet.stage_update(kFwV2, "fw", plain_build());
+  auto outcome = campaign.apply_to(dev);
+  EXPECT_EQ(outcome.result, UpdateResult::kImageMismatch);
+  EXPECT_FALSE(outcome.build_swapped);
+  EXPECT_EQ(dev.firmware_version(), 0u);
+  EXPECT_NE(dev.shared_build().get(), campaign.target_build().get());
+}
+
+// The last byte of the checked range -- 0xFFFF, the high byte of the
+// reset vector -- is inside the check.
+TEST(UpdateCampaignTest, DivergedResetVectorRefused) {
+  Fleet fleet;
+  DeviceSession& dev =
+      fleet.provision("vec", kFwV1, "fw", EnforcementPolicy::kCfaBaseline);
+  dev.run_to_symbol("halt", 100000);
+  sim::Bus& bus = dev.machine().bus();
+  bus.raw_store_byte(0xFFFF, static_cast<uint8_t>(bus.raw_byte(0xFFFF) ^ 0x01));
+
+  UpdateCampaign campaign = fleet.stage_update(kFwV2, "fw", plain_build());
+  auto outcome = campaign.apply_to(dev);
+  EXPECT_EQ(outcome.result, UpdateResult::kImageMismatch);
+  EXPECT_FALSE(outcome.build_swapped);
+  EXPECT_EQ(dev.firmware_version(), 0u);
+}
+
+// A code page written and then restored to its original bytes is
+// private to the device but byte-identical to the build: the check
+// compares bytes, not page ownership, so the update goes through.
+TEST(UpdateCampaignTest, PageRestoredToItsBytesStillUpdates) {
+  Fleet fleet;
+  DeviceSession& dev =
+      fleet.provision("restored", kFwV1, "fw", EnforcementPolicy::kCfaBaseline);
+  dev.run_to_symbol("halt", 100000);
+  sim::Bus& bus = dev.machine().bus();
+  const size_t owned_before = bus.owned_pages();
+  std::vector<uint8_t> original;
+  for (uint16_t addr = 0xE000; addr < 0xE010; ++addr) {
+    original.push_back(bus.raw_byte(addr));
+    bus.raw_store_byte(addr, static_cast<uint8_t>(~original.back()));
+  }
+  for (uint16_t addr = 0xE000; addr < 0xE010; ++addr) {
+    bus.raw_store_byte(addr, original[addr - 0xE000]);
+  }
+  EXPECT_EQ(bus.owned_pages(), owned_before + 1);  // the page is private
+
+  UpdateCampaign campaign = fleet.stage_update(kFwV2, "fw", plain_build());
+  auto outcome = campaign.apply_to(dev);
+  EXPECT_EQ(outcome.result, UpdateResult::kApplied);
+  EXPECT_TRUE(outcome.build_swapped);
+  dev.machine().uart().clear_tx();
+  dev.run_to_symbol("halt", 100000);
+  EXPECT_EQ(dev.machine().uart().tx_text(), "222");
+}
+
+// A build made outside build_app carries no cached flat_image: its
+// sessions flash from a one-off copy and the campaign flattens its own,
+// so no page matches by pointer. The verdicts are the same: a clean
+// device updates, a diverged one is refused.
+TEST(UpdateCampaignTest, BuildWithoutCachedImageStillChecked) {
+  Fleet fleet;
+  auto bare = std::make_shared<core::BuildResult>(
+      *fleet.build(kFwV1, "fw", plain_build()));
+  bare->flat_image = nullptr;
+  DeviceSession& clean =
+      fleet.deploy("bare-clean", bare, EnforcementPolicy::kCfaBaseline);
+  DeviceSession& diverged =
+      fleet.deploy("bare-diverged", bare, EnforcementPolicy::kCfaBaseline);
+  clean.run_to_symbol("halt", 100000);
+  diverged.run_to_symbol("halt", 100000);
+  diverged.machine().bus().raw_store_byte(0xE800, 0x43);
+
+  UpdateCampaign campaign = fleet.stage_update(kFwV2, "fw", plain_build());
+  auto refused = campaign.apply_to(diverged);
+  EXPECT_EQ(refused.result, UpdateResult::kImageMismatch);
+  EXPECT_FALSE(refused.build_swapped);
+  EXPECT_EQ(diverged.shared_build().get(), bare.get());
+
+  auto applied = campaign.apply_to(clean);
+  EXPECT_EQ(applied.result, UpdateResult::kApplied);
+  EXPECT_TRUE(applied.build_swapped);
+  EXPECT_EQ(clean.shared_build().get(), campaign.target_build().get());
+  clean.machine().uart().clear_tx();
+  clean.run_to_symbol("halt", 100000);
+  EXPECT_EQ(clean.machine().uart().tx_text(), "222");
 }
 
 // Records every retired-instruction transition, fall-through included.

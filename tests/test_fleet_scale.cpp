@@ -13,11 +13,13 @@
 //      (serial and pooled), convicting a hijack at the same edge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "casu/update.h"
@@ -188,6 +190,235 @@ TEST(PagedMemoryTest, MatchesFlatReferenceUnderRandomOperations) {
   // owned copy of the address space, never more.
   EXPECT_LE(mem.resident_bytes(),
             0x10000u + 2 * sizeof(void*) * sim::PagedMemory::kPageCount);
+}
+
+// Random 64 KiB image with bytes in [0xA000, 0xFFFF] (secure ROM, the
+// gap and PMEM) and zeros below.
+std::shared_ptr<const std::vector<uint8_t>> random_code_image(uint64_t seed) {
+  std::vector<uint8_t> image(0x10000, 0);
+  common::SeededRng fill(seed);
+  for (size_t i = sim::kRomStart; i < 0x10000; ++i) image[i] = fill.u8();
+  return std::make_shared<const std::vector<uint8_t>>(std::move(image));
+}
+
+// range_equals (the campaign's kImageMismatch check) against a flat
+// byte compare of what the memory reads, under random writes,
+// write-backs of identical bytes, wipes, resets to base and base swaps
+// -- swaps onto a distinct copy holding equal bytes included, so equal
+// pages reach the memcmp path as well as the pointer path. Both code
+// ranges are checked up to their last byte, plus a random subrange.
+TEST(PagedMemoryTest, RangeEqualsMatchesFlatCompareUnderRandomOperations) {
+  const auto base = random_code_image(21);
+  const auto base_copy = std::make_shared<const std::vector<uint8_t>>(*base);
+  const auto other = random_code_image(22);
+  const std::shared_ptr<const std::vector<uint8_t>> images[] = {
+      base, base_copy, other};
+
+  sim::PagedMemory mem;
+  mem.attach_base(base);
+  auto random_code_range = [](common::SeededRng& rng) {
+    const uint16_t first =
+        static_cast<uint16_t>(sim::kRomStart + rng.below(0x6000));
+    const uint16_t last =
+        static_cast<uint16_t>(first + rng.below(0x10000 - first));
+    return std::pair<uint16_t, uint16_t>{first, last};
+  };
+
+  common::SeededRng rng(0x5EED);
+  size_t equal_verdicts = 0;
+  size_t unequal_verdicts = 0;
+  std::vector<uint8_t> reads(0x10000, 0);
+  for (int op = 0; op < 2000; ++op) {
+    switch (rng.below(20)) {
+      default: {  // byte store; half of them write back the same byte
+        const uint16_t addr =
+            static_cast<uint16_t>(sim::kRomStart + rng.below(0x6000));
+        mem.write(addr, rng.below(2) == 0 ? mem.read(addr) : rng.u8());
+        break;
+      }
+      case 10: case 11: {  // wipe a random code subrange to zero
+        const auto [first, last] = random_code_range(rng);
+        mem.zero_range(first, last);
+        break;
+      }
+      case 12: case 13: case 14: case 15:  // reflash both code ranges
+        mem.reset_range_to_base(sim::kRomStart, sim::kRomEnd);
+        mem.reset_range_to_base(sim::kPmemStart, 0xFFFF);
+        break;
+      case 16: case 17: case 18: {  // base swap, equal-byte copy included
+        mem.attach_base(images[rng.below(3)]);
+        if (rng.below(2) == 0) mem.reclaim_identical(0x0000, 0xFFFF);
+        break;
+      }
+      case 19: {  // partial reset to base
+        const auto [first, last] = random_code_range(rng);
+        mem.reset_range_to_base(first, last);
+        break;
+      }
+    }
+    for (size_t a = sim::kRomStart; a < 0x10000; ++a) {
+      reads[a] = mem.read(static_cast<uint16_t>(a));
+    }
+    const std::pair<uint16_t, uint16_t> ranges[] = {
+        {sim::kRomStart, sim::kRomEnd},
+        {sim::kPmemStart, 0xFFFF},
+        random_code_range(rng)};
+    for (const auto& image : images) {
+      for (const auto& [first, last] : ranges) {
+        const bool flat = std::equal(reads.begin() + first,
+                                     reads.begin() + last + 1,
+                                     image->begin() + first);
+        ASSERT_EQ(mem.range_equals(first, last, *image), flat)
+            << "op " << op << " range " << first << ".." << last;
+        ++(flat ? equal_verdicts : unequal_verdicts);
+      }
+    }
+  }
+  // Both verdicts were exercised, not just the easy one.
+  EXPECT_GT(equal_verdicts, 1000u);
+  EXPECT_GT(unequal_verdicts, 1000u);
+}
+
+// One case per page kind the compare meets: shared view (pointer
+// path), owned pages written back to identical bytes, owned pages that
+// differ, wiped zero pages, and a distinct base copy with equal bytes
+// (memcmp path). Each code range is checked up to its last byte.
+TEST(PagedMemoryTest, RangeEqualsCoversEveryPageKind) {
+  const auto base = random_code_image(31);
+  const auto base_copy = std::make_shared<const std::vector<uint8_t>>(*base);
+  const auto other = random_code_image(32);
+  sim::PagedMemory mem;
+  mem.attach_base(base);
+
+  // Shared views: equal to the image they view and to an equal copy,
+  // unequal to a different image.
+  for (const auto& [first, last] :
+       {std::pair<uint16_t, uint16_t>{sim::kRomStart, sim::kRomEnd},
+        std::pair<uint16_t, uint16_t>{sim::kPmemStart, 0xFFFF}}) {
+    EXPECT_TRUE(mem.range_equals(first, last, *base));
+    EXPECT_TRUE(mem.range_equals(first, last, *base_copy));
+    EXPECT_FALSE(mem.range_equals(first, last, *other));
+  }
+
+  // Owned page written back to its own bytes: still equal.
+  mem.write(0xE800, mem.read(0xE800));
+  EXPECT_EQ(mem.owned_pages(), 1u);
+  EXPECT_TRUE(mem.range_equals(sim::kPmemStart, 0xFFFF, *base));
+  EXPECT_TRUE(mem.range_equals(sim::kPmemStart, 0xFFFF, *base_copy));
+
+  // Owned pages that differ, at the last byte of each range: the full
+  // range is unequal, the range one byte short is still equal.
+  mem.write(0xFFFF, static_cast<uint8_t>(~(*base)[0xFFFF]));
+  EXPECT_FALSE(mem.range_equals(sim::kPmemStart, 0xFFFF, *base));
+  EXPECT_TRUE(mem.range_equals(sim::kPmemStart, 0xFFFE, *base));
+  EXPECT_FALSE(mem.range_equals(0xFFFF, 0xFFFF, *base));
+  mem.write(sim::kRomEnd, static_cast<uint8_t>(~(*base)[sim::kRomEnd]));
+  EXPECT_FALSE(mem.range_equals(sim::kRomStart, sim::kRomEnd, *base));
+  EXPECT_TRUE(mem.range_equals(sim::kRomStart, sim::kRomEnd - 1, *base));
+  mem.reset_range_to_base(sim::kRomStart, sim::kRomEnd);
+  mem.reset_range_to_base(sim::kPmemStart, 0xFFFF);
+  EXPECT_EQ(mem.owned_pages(), 0u);
+  EXPECT_TRUE(mem.range_equals(sim::kRomStart, sim::kRomEnd, *base));
+  EXPECT_TRUE(mem.range_equals(sim::kPmemStart, 0xFFFF, *base));
+
+  // Wiped page: reads the static zero page, so it equals an image that
+  // is zero there and not the base.
+  mem.zero_range(sim::kRomStart, sim::kRomStart + 0xFF);
+  std::vector<uint8_t> zeroed = *base;
+  std::fill(zeroed.begin() + sim::kRomStart,
+            zeroed.begin() + sim::kRomStart + 0x100, 0);
+  EXPECT_FALSE(mem.range_equals(sim::kRomStart, sim::kRomEnd, *base));
+  EXPECT_TRUE(mem.range_equals(sim::kRomStart, sim::kRomEnd, zeroed));
+  mem.reset_range_to_base(sim::kRomStart, sim::kRomEnd);
+
+  // A distinct base copy with equal bytes: every page views the copy,
+  // so the compare against the original takes the memcmp path.
+  mem.attach_base(base_copy);
+  EXPECT_TRUE(mem.range_equals(sim::kRomStart, sim::kRomEnd, *base));
+  EXPECT_TRUE(mem.range_equals(sim::kPmemStart, 0xFFFF, *base));
+  mem.write(0xE123, static_cast<uint8_t>(~(*base)[0xE123]));
+  EXPECT_FALSE(mem.range_equals(sim::kPmemStart, 0xFFFF, *base));
+  EXPECT_FALSE(mem.range_equals(sim::kPmemStart, 0xFFFF, *base_copy));
+}
+
+// diff_builds skips equal pages with one memcmp and byte-walks only the
+// pages that differ. Its result must equal a plain byte walk's --
+// regions coalesced across page boundaries, payload_bytes, and the
+// lowest non-PMEM difference -- whether the builds carry a cached
+// flat_image or are flattened on the fly.
+TEST(DiffBuildsTest, PageSkipMatchesByteWalk) {
+  auto byte_walk = [](const std::vector<uint8_t>& a,
+                      const std::vector<uint8_t>& b) {
+    core::ImageDiff diff;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i] == b[i]) continue;
+      const uint16_t addr = static_cast<uint16_t>(i);
+      if (!sim::is_pmem(addr)) {
+        diff.compatible = false;
+        diff.first_incompatible = addr;
+        diff.regions.clear();
+        diff.payload_bytes = 0;
+        return diff;
+      }
+      if (!diff.regions.empty() && diff.regions.back().target_addr +
+                                           diff.regions.back().payload.size() ==
+                                       i) {
+        diff.regions.back().payload.push_back(b[i]);
+      } else {
+        diff.regions.push_back({addr, {b[i]}});
+      }
+      ++diff.payload_bytes;
+    }
+    return diff;
+  };
+  auto expect_same = [](const core::ImageDiff& got,
+                        const core::ImageDiff& want) {
+    EXPECT_EQ(got.compatible, want.compatible);
+    EXPECT_EQ(got.first_incompatible, want.first_incompatible);
+    EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+    ASSERT_EQ(got.regions.size(), want.regions.size());
+    for (size_t i = 0; i < got.regions.size(); ++i) {
+      EXPECT_EQ(got.regions[i].target_addr, want.regions[i].target_addr);
+      EXPECT_EQ(got.regions[i].payload, want.regions[i].payload);
+    }
+  };
+
+  // Synthetic images: runs of changed PMEM bytes, many straddling a
+  // page boundary, and now and then one non-PMEM difference.
+  const auto base = random_code_image(41);
+  common::SeededRng rng(0xD1FF);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<uint8_t> next = *base;
+    for (uint64_t run = rng.below(6); run > 0; --run) {
+      size_t at = sim::kPmemStart + rng.below(0x2000);
+      if (rng.below(2) == 0) at = (at | 0xFF) - rng.below(3);
+      for (uint64_t n = 1 + rng.below(8); n > 0 && at < 0x10000; --n, ++at) {
+        next[at] ^= static_cast<uint8_t>(1 + rng.below(255));
+      }
+    }
+    if (rng.below(5) == 0) next[rng.below(sim::kPmemStart)] ^= 0x5A;
+    core::BuildResult from;
+    core::BuildResult to;
+    from.flat_image = base;
+    to.flat_image = std::make_shared<const std::vector<uint8_t>>(next);
+    expect_same(core::diff_builds(from, to), byte_walk(*base, next));
+  }
+
+  // Real builds, cached and uncached.
+  Fleet fleet;
+  core::BuildOptions plain;
+  plain.eilid = false;
+  const auto gen1 = fleet.build(firmware(1), "fw", plain);
+  const auto gen2 = fleet.build(firmware(2), "fw", plain);
+  core::BuildResult bare1 = *gen1;
+  core::BuildResult bare2 = *gen2;
+  bare1.flat_image = nullptr;
+  bare2.flat_image = nullptr;
+  const core::ImageDiff want = byte_walk(*gen1->flat_image, *gen2->flat_image);
+  EXPECT_GT(want.payload_bytes, 0u);
+  expect_same(core::diff_builds(*gen1, *gen2), want);
+  expect_same(core::diff_builds(bare1, bare2), want);
+  expect_same(core::diff_builds(bare1, *gen2), want);
 }
 
 TEST(PagedMemoryTest, ResidencyTracksDirtiedPagesOnly) {
