@@ -1,12 +1,12 @@
 // Scenario-fuzzer soak: generative workloads + attack mutators through
 // the differential harness (src/fuzz/harness.h). Every generated
-// program runs under all four enforcement policies x all three
-// execution engines demanding bit-identical state and attestation
-// evidence, pooled-vs-serial verifier sweeps must agree verdict for
-// verdict, and every mutated case (diverted jumps, gadget-repointed
-// dispatch tables, tampered reports, bit-flipped packages, corrupted
-// chunk streams) must be convicted or refused. Any divergence FAILS
-// the bench and prints the reproducing seed on stderr.
+// program runs under all four enforcement policies x both execution
+// engines (interpretive, superblock) demanding bit-identical state and
+// attestation evidence, pooled-vs-serial verifier sweeps must agree
+// verdict for verdict, and every mutated case (diverted jumps,
+// gadget-repointed dispatch tables, tampered reports, bit-flipped
+// packages, corrupted chunk streams) must be convicted or refused. Any
+// divergence FAILS the bench and prints the reproducing seed on stderr.
 //
 // Reproduce a failure:
 //   bench_fuzz_soak --seed 0x<printed seed> --programs 1 --mutations 1
@@ -14,7 +14,7 @@
 // tests/test_fuzz_regressions.cpp for pinned examples).
 //
 // Usage: bench_fuzz_soak [--smoke] [--seed N] [--programs N] [--mutations N]
-//   --smoke: the CI-sized bounded corpus (500 programs x 3 engines x 4
+//   --smoke: the CI-sized bounded corpus (500 programs x 2 engines x 4
 //   policies, plus >= 200 mutated cases); default is the larger local
 //   soak.
 #include <chrono>

@@ -1,32 +1,36 @@
 // Simulator-core throughput: simulated instructions per wall-clock
-// second (MIPS), per enforcement policy, as a THREE-WAY engine oracle:
-// interpretive vs predecoded (per-instruction table dispatch) vs
-// superblock (block-granular dispatch) -- plus a fleet sweep driving
+// second (MIPS), per enforcement policy, as a TWO-ENGINE oracle:
+// interpretive (ground truth) vs superblock (block-granular dispatch
+// from the build's shared code table) -- plus a fleet sweep driving
 // many devices from a thread pool. This seeds the bench trajectory for
 // the hot loop: every future perf PR must beat the table this emits
 // (BENCH_sim_throughput.json).
 //
 // Correctness gates (the bench FAILS on any violation):
-//   - per policy, all three engines retire the same instruction count
-//     over the same simulated cycles and their retired-instruction
-//     traces (from, to, fallthrough per step) have identical
-//     fingerprints,
-//   - for kCfaBaseline, the attestation verdicts of all three runs are
+//   - per policy, both engines retire the same instruction count over
+//     the same simulated cycles and their retired-instruction traces
+//     (from, to, fallthrough per step) have identical fingerprints,
+//   - for kCfaBaseline, the attestation verdicts of both runs are
 //     identical (same seq/mac_ok/seq_ok/path_ok/edges/dropped),
-//   - the superblock timed run actually dispatched blocks (the fast
-//     path engaged; a silently-degraded run would gate green on
-//     identity while measuring nothing).
+//   - the superblock timed run actually dispatched blocks and the
+//     interpretive one did not (the fast path engaged; a
+//     silently-degraded run would gate green on identity while
+//     measuring nothing).
 // Wall-clock numbers are reported but not gated (host-dependent); the
 // CI regression gate (scripts/check_bench_regression.py) compares the
-// emitted speedups against the committed baseline instead.
+// emitted speedups against the committed baseline instead. The fleet
+// sweep's pool holds min(8, hardware threads) workers; the count is
+// printed and recorded.
 //
 // Usage: bench_sim_throughput [--smoke]   (--smoke: CI-sized workload)
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -77,8 +81,10 @@ mix:
 
 // FNV-1a fingerprint over every (from, to, fallthrough) step tuple.
 // Deliberately a wants_step() monitor: attaching it pins the machine
-// to per-instruction execution under every engine, so the traced runs
-// compare the engines' architectural effects, not their dispatch.
+// to per-instruction execution under both engines (the superblock
+// session steps its code table one entry at a time), so the traced
+// runs compare the engines' architectural effects, not their
+// dispatch.
 class TraceFingerprint : public sim::Monitor {
  public:
   void on_step(uint16_t from_pc, uint16_t to_pc, uint16_t fallthrough) override {
@@ -103,9 +109,6 @@ constexpr EnforcementPolicy kPolicies[] = {
     EnforcementPolicy::kNone, EnforcementPolicy::kCasu,
     EnforcementPolicy::kCfaBaseline, EnforcementPolicy::kEilidHw};
 
-constexpr ExecutionEngine kEngines[] = {ExecutionEngine::kInterpretive,
-                                        ExecutionEngine::kPredecoded,
-                                        ExecutionEngine::kSuperblock};
 
 struct ModeRun {
   double wall_ms = 0;
@@ -174,7 +177,8 @@ int main(int argc, char** argv) {
   const uint64_t timed_cycles = smoke ? 2'000'000 : 40'000'000;
   const uint64_t traced_cycles = smoke ? 500'000 : 2'000'000;
   const size_t fleet_devices = smoke ? 32 : 256;
-  const size_t fleet_threads = 8;
+  const size_t fleet_threads =
+      std::clamp<size_t>(std::thread::hardware_concurrency(), 1, 8);
   const uint64_t fleet_cycles = smoke ? 500'000 : 4'000'000;
 
   Fleet fleet;
@@ -184,10 +188,9 @@ int main(int argc, char** argv) {
   std::printf("Simulator core throughput (%s: %llu cycles/run)\n\n",
               smoke ? "smoke" : "full",
               static_cast<unsigned long long>(timed_cycles));
-  std::printf("%-13s | %-11s | %-11s | %-11s | %-8s | %-8s | %-6s | %s\n",
-              "policy", "interp MIPS", "predec MIPS", "superb MIPS", "pre x",
-              "blk x", "trace", "verdict");
-  for (int i = 0; i < 92; ++i) std::putchar('-');
+  std::printf("%-13s | %-11s | %-11s | %-8s | %-6s | %s\n", "policy",
+              "interp MIPS", "superb MIPS", "blk x", "trace", "verdict");
+  for (int i = 0; i < 70; ++i) std::putchar('-');
   std::putchar('\n');
 
   bool ok = true;
@@ -195,60 +198,48 @@ int main(int argc, char** argv) {
   std::string policy_json;
   for (EnforcementPolicy policy : kPolicies) {
     auto build = policy == EnforcementPolicy::kEilidHw ? instrumented : plain;
-    ModeRun runs[3];
-    for (size_t e = 0; e < 3; ++e) {
-      runs[e] = run_mode(fleet, build, policy, kEngines[e], timed_cycles,
-                         traced_cycles, &serial);
-    }
-    const ModeRun& interp = runs[0];
-    const ModeRun& predec = runs[1];
-    const ModeRun& superb = runs[2];
+    const ModeRun interp =
+        run_mode(fleet, build, policy, ExecutionEngine::kInterpretive,
+                 timed_cycles, traced_cycles, &serial);
+    const ModeRun superb =
+        run_mode(fleet, build, policy, ExecutionEngine::kSuperblock,
+                 timed_cycles, traced_cycles, &serial);
 
-    bool trace_ok = true;
-    bool verdict_ok = true;
-    for (const ModeRun& r : {predec, superb}) {
-      trace_ok = trace_ok && r.trace_hash == interp.trace_hash &&
-                 r.trace_steps == interp.trace_steps &&
-                 r.instructions == interp.instructions &&
-                 r.sim_cycles == interp.sim_cycles;
-      verdict_ok = verdict_ok && r.verdict == interp.verdict;
-    }
+    const bool trace_ok = superb.trace_hash == interp.trace_hash &&
+                          superb.trace_steps == interp.trace_steps &&
+                          superb.instructions == interp.instructions &&
+                          superb.sim_cycles == interp.sim_cycles;
+    const bool verdict_ok = superb.verdict == interp.verdict;
     // The superblock run must actually have engaged block dispatch
-    // (and the other two engines must not have).
-    const bool engaged_ok =
-        superb.blocks > 0 && interp.blocks == 0 && predec.blocks == 0;
+    // (and the interpretive one must not have).
+    const bool engaged_ok = superb.blocks > 0 && interp.blocks == 0;
     ok = ok && trace_ok && verdict_ok && engaged_ok;
     if (!engaged_ok) {
       std::printf("  !! %s: block dispatch engagement wrong "
-                  "(interp %llu, predec %llu, superblock %llu blocks)\n",
+                  "(interp %llu, superblock %llu blocks)\n",
                   std::string(enforcement_policy_name(policy)).c_str(),
                   static_cast<unsigned long long>(interp.blocks),
-                  static_cast<unsigned long long>(predec.blocks),
                   static_cast<unsigned long long>(superb.blocks));
     }
 
-    const double pre_speedup =
-        interp.mips() > 0 ? predec.mips() / interp.mips() : 0.0;
     const double blk_speedup =
         interp.mips() > 0 ? superb.mips() / interp.mips() : 0.0;
-    std::printf("%-13s | %11.1f | %11.1f | %11.1f | %7.2fx | %7.2fx | %-6s | %s\n",
+    std::printf("%-13s | %11.1f | %11.1f | %7.2fx | %-6s | %s\n",
                 std::string(enforcement_policy_name(policy)).c_str(),
-                interp.mips(), predec.mips(), superb.mips(), pre_speedup,
-                blk_speedup, trace_ok ? "same" : "DIFFER",
-                verdict_ok ? "same" : "DIFFER");
+                interp.mips(), superb.mips(), blk_speedup,
+                trace_ok ? "same" : "DIFFER", verdict_ok ? "same" : "DIFFER");
 
     char row[640];
     std::snprintf(
         row, sizeof(row),
         "    {\"policy\": \"%s\", \"instructions\": %llu, \"sim_cycles\": "
-        "%llu, \"mips_interpretive\": %.1f, \"mips_predecoded\": %.1f, "
-        "\"mips_superblock\": %.1f, \"speedup\": %.2f, "
+        "%llu, \"mips_interpretive\": %.1f, \"mips_superblock\": %.1f, "
         "\"speedup_superblock\": %.2f, \"blocks\": %llu, "
         "\"trace_identical\": %s, \"verdict_identical\": %s},\n",
         std::string(enforcement_policy_name(policy)).c_str(),
         static_cast<unsigned long long>(superb.instructions),
         static_cast<unsigned long long>(superb.sim_cycles), interp.mips(),
-        predec.mips(), superb.mips(), pre_speedup, blk_speedup,
+        superb.mips(), blk_speedup,
         static_cast<unsigned long long>(superb.blocks),
         trace_ok ? "true" : "false", verdict_ok ? "true" : "false");
     policy_json += row;

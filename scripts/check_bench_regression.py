@@ -9,11 +9,11 @@ Two column families are gated, in opposite directions:
 
 - ``speedup*`` ratios must not *drop* by more than the tolerance.
   Only ratios, never absolute MIPS or verdict rates: a ratio
-  (predecoded-vs-interpretive, superblock-vs-interpretive,
-  pooled-vs-serial) divides out the host's raw speed, so the gate is
-  meaningful on CI hardware that is faster or slower than the machine
-  that produced the committed baseline. Other absolute perf numbers
-  stay visible in the uploaded artifacts for human eyes.
+  (superblock-vs-interpretive, pooled-vs-serial) divides out the
+  host's raw speed, so the gate is meaningful on CI hardware that is
+  faster or slower than the machine that produced the committed
+  baseline. Other absolute perf numbers stay visible in the uploaded
+  artifacts for human eyes.
 - ``resident_*`` byte counts must not *grow* by more than the
   tolerance. Unlike wall-clock numbers these ARE host-independent --
   they count deterministic data-structure bytes (copy-on-write pages,

@@ -245,9 +245,11 @@ bool UpdateEngine::write_regions(const UpdatePackage& package,
 UpdateStatus UpdateEngine::apply(const UpdatePackage& package) {
   const UpdateStatus status = verify(package);
   if (status != UpdateStatus::kApplied) return status;
-  write_regions(package, std::nullopt);
-  version_ = package.version;
-  return UpdateStatus::kApplied;
+  // The same two-phase commit finalize_transfer runs. The new journal
+  // replaces any one a power cut left pending, so no later boot can
+  // replay that older package over this one.
+  journal_.emplace(CommitJournal{package});
+  return commit(std::nullopt);
 }
 
 ChunkAck UpdateEngine::receive_chunk(const TransferChunk& chunk) {

@@ -177,7 +177,9 @@ class UpdateEngine {
   // Verify and apply against this engine's machine. On kBadMac or
   // kRollback the monitor latches a violation so the device resets
   // (CASU heals on abuse); region checks precede authentication so a
-  // malformed package is never MAC'd.
+  // malformed package is never MAC'd. A verified package commits
+  // through the same journal as finalize_transfer (with no power-cut
+  // hook), so it also retires a journal a power cut left pending.
   UpdateStatus apply(const UpdatePackage& package);
 
   uint32_t current_version() const { return version_; }

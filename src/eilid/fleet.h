@@ -4,9 +4,9 @@
 //   - a content-hash-keyed build cache: identical (source, options)
 //     pairs run the three-iteration pipeline exactly once and share
 //     one immutable BuildResult across every device flashed with it --
-//     including one shared isa::DecodedImage (the ROM predecoded once
-//     per build) and one shared isa::BlockImage (its superblock
-//     suffix table: for every PC, the straight-line run to the first
+//     including one shared isa::DecodedImage, the code table: the ROM
+//     predecoded once per build, each slot also carrying its
+//     superblock (the straight-line run from that PC to the first
 //     hazard). A fleet of N devices on one build decodes each
 //     instruction once and discovers each basic block once, at build
 //     time, total; every session's hot loop then retires whole blocks
@@ -14,9 +14,9 @@
 //     to per-instruction interpretive decode only for PCs outside
 //     flash or after a store lands in the code range, which bumps the
 //     bus's code-generation counter -- CASU-enforced devices never
-//     do. SessionOptions.engine selects kInterpretive, kPredecoded or
-//     kSuperblock (the default) per session; traces, final state and
-//     CFA evidence are bit-identical across all three (the bench and
+//     do. SessionOptions.engine selects kInterpretive or kSuperblock
+//     (the default) per session; traces, final state and CFA evidence
+//     are bit-identical across the two (the bench and
 //     tests/test_superblock.cpp gate it),
 //   - a device registry provisioning N DeviceSessions from cached
 //     builds, each wired per its EnforcementPolicy,

@@ -83,16 +83,13 @@ std::shared_ptr<const isa::DecodedImage> predecode(
 }
 
 // Build every shared per-build artifact: the flat flashed snapshot
-// (the sessions' copy-on-write base), the decoded image derived from
-// it, and the superblock table derived from that. Done once per build;
-// every device flashed with this build shares the same three immutable
-// objects.
+// (the sessions' copy-on-write base) and the code table derived from
+// it. Done once per build; every device flashed with this build shares
+// the same two immutable objects.
 void attach_images(BuildResult& result) {
   result.flat_image =
       std::make_shared<const std::vector<uint8_t>>(flat_memory(result));
   result.decoded_image = predecode(*result.flat_image);
-  result.block_image =
-      std::make_shared<const isa::BlockImage>(*result.decoded_image);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "casu/update.h"
 #include "eilid/instrumenter.h"
 #include "eilid/rom_builder.h"
-#include "isa/block_image.h"
 #include "isa/decoded_image.h"
 #include "masm/assembler.h"
 
@@ -45,24 +44,19 @@ struct BuildResult {
   InstrumentResult report;   // last instrumentation pass
   std::vector<IterationStats> iterations;  // Fig. 2 growth data
   bool converged = true;
-  // Predecoded view of the flashed code regions (secure ROM + PMEM),
-  // built once here and shared read-only by every device flashed with
-  // this build -- the fleet's build cache therefore decodes each ROM
-  // exactly once, however many sessions run it. See
+  // Predecoded view of the flashed code regions (secure ROM + PMEM):
+  // per-PC decoded instructions plus the straight-line run starting at
+  // each, built once here and shared read-only by every device flashed
+  // with this build -- the fleet's build cache therefore decodes each
+  // ROM exactly once, however many sessions run it. See
   // isa::DecodedImage / Machine::attach_decoded_image for the
   // invalidation rule.
   std::shared_ptr<const isa::DecodedImage> decoded_image;
-  // Superblock table derived from the decoded image: per-PC straight-
-  // line run lengths with pre-summed cycles and terminator kinds, for
-  // block-granular dispatch (see isa::BlockImage and
-  // Machine::attach_block_image). Shares the decoded image's
-  // fleet-wide build-once lifetime and invalidation rule.
-  std::shared_ptr<const isa::BlockImage> block_image;
   // The full 64 KiB flashed snapshot (== flat_memory(*this)), built
   // once here and attached as every session's copy-on-write base image
   // (sim::PagedMemory): N devices of one build share these bytes and
   // privately own only the pages they dirty. Same build-once lifetime
-  // as the decode tables.
+  // as the decoded table.
   std::shared_ptr<const std::vector<uint8_t>> flat_image;
 
   size_t binary_size() const { return app.image.size_bytes(); }

@@ -22,7 +22,6 @@ std::string_view enforcement_policy_name(EnforcementPolicy policy) {
 std::string_view execution_engine_name(ExecutionEngine engine) {
   switch (engine) {
     case ExecutionEngine::kInterpretive: return "interpretive";
-    case ExecutionEngine::kPredecoded: return "predecoded";
     case ExecutionEngine::kSuperblock: return "superblock";
   }
   return "?";
@@ -98,21 +97,16 @@ DeviceSession::DeviceSession(std::string device_id,
   // the pages they dirty. Builds made outside build_app may lack the
   // cached snapshot; take the one-off copy then.
   machine_.bus().attach_base_image(core::shared_flat_image(*build_));
-  // Attach the build's shared execution tables *after* the flash (the
+  // Attach the build's shared code table *after* the flash (the
   // attachment snapshots the bus's code generation, so it must see the
-  // flashed state). Every session of this build shares the same tables.
-  attach_engine_tables();
+  // flashed state). Every session of this build shares the same table.
+  attach_code_table();
   machine_.power_on();
 }
 
-void DeviceSession::attach_engine_tables() {
-  if (options_.engine == ExecutionEngine::kInterpretive) return;
-  if (build_->decoded_image != nullptr) {
+void DeviceSession::attach_code_table() {
+  if (options_.engine != ExecutionEngine::kInterpretive) {
     machine_.attach_decoded_image(build_->decoded_image);
-  }
-  if (options_.engine == ExecutionEngine::kSuperblock &&
-      build_->block_image != nullptr) {
-    machine_.attach_block_image(build_->block_image);
   }
 }
 
@@ -184,10 +178,10 @@ void DeviceSession::adopt_build(std::shared_ptr<const core::BuildResult> next) {
   bus.reclaim_identical_pages(sim::kPmemStart, 0xFFFF);
   // The update's stores bumped the bus code generation (as does the
   // base swap), so the CPU is running interpretively right now;
-  // attaching the new build's shared tables re-snapshots the
+  // attaching the new build's shared table re-snapshots the
   // generation and restores the session's configured engine -- against
-  // tables that match the new bytes.
-  attach_engine_tables();
+  // a table that matches the new bytes.
+  attach_code_table();
 }
 
 std::string DeviceSession::last_reset_reason() const {
@@ -210,7 +204,7 @@ void DeviceSession::reflash() {
   // falling back to interpretive decode.
   machine_.bus().reset_range_to_base(sim::kRomStart, sim::kRomEnd);
   machine_.bus().reset_range_to_base(sim::kPmemStart, 0xFFFF);
-  attach_engine_tables();
+  attach_code_table();
   power_cycle();
 }
 

@@ -15,7 +15,7 @@
 // page, and resident_memory_bytes() reports only the pages this device
 // actually dirtied plus its CFA log arena -- so 10k sessions of one
 // build cost near one shared image, not 10k copies. Reads/writes keep
-// their inline fast paths and the three execution engines stay
+// their inline fast paths and the two execution engines stay
 // bit-identical over paged memory (tests/test_fleet_scale.cpp).
 #ifndef EILID_EILID_SESSION_H
 #define EILID_EILID_SESSION_H
@@ -50,28 +50,29 @@ enum class EnforcementPolicy : uint8_t {
 
 std::string_view enforcement_policy_name(EnforcementPolicy policy);
 
-// Which simulator core drives the device. All three engines are
+// Which simulator core drives the device. The two engines are
 // architecturally identical -- retired-instruction traces, cycle
 // counts, CFA edge logs and MACs, and enforcement verdicts match
-// bit-for-bit -- and differ only in dispatch granularity:
+// bit-for-bit -- and differ only in where instructions come from:
 //   kInterpretive -- decode every instruction from backing memory
-//     (the original core; the always-correct fallback every other
-//     engine degrades to when its tables go stale),
-//   kPredecoded   -- per-instruction dispatch from the build's shared
-//     decoded table (PR 3),
-//   kSuperblock   -- block-granular dispatch from the build's shared
-//     superblock table: one bounds/generation check and one batched
-//     cycle/tick account per straight-line run, with interrupt
-//     delivery re-checked at block boundaries (a mid-block IRQ horizon
-//     refuses the block, so delivery still lands at the architecturally
-//     correct instruction).
-// Any store at or above the code floor invalidates the shared tables
+//     (the original core, ground truth, and the always-correct
+//     fallback the table-driven engine degrades to when its table goes
+//     stale),
+//   kSuperblock   -- dispatch from the build's shared code table
+//     (isa::DecodedImage): block-granular where it can -- one
+//     bounds/generation check and one batched cycle/tick account per
+//     straight-line run, with interrupt delivery re-checked at block
+//     boundaries (a mid-block IRQ horizon refuses the block, so
+//     delivery still lands at the architecturally correct instruction)
+//     -- and one table entry per step wherever block dispatch stands
+//     down: a wants_step() monitor is attached, an interrupt is due,
+//     the CPU is off, or a violation is pending.
+// Any store at or above the code floor invalidates the shared table
 // (Bus::code_generation) and drops the device to interpretive decode
 // until a fresh table is attached -- the self-modifying-code rule that
 // has held since the decoded table landed.
 enum class ExecutionEngine : uint8_t {
   kInterpretive,
-  kPredecoded,
   kSuperblock,
 };
 
@@ -88,9 +89,9 @@ struct SessionOptions {
   // protocol authenticates against). Fleet derives it from its master
   // key; standalone sessions may set it directly.
   crypto::Digest update_key{};
-  // Simulator core selection (see ExecutionEngine): which of the
-  // build's shared tables the session attaches. Every differential
-  // gate in the benches compares all three as a three-way oracle.
+  // Simulator core selection (see ExecutionEngine): whether the
+  // session attaches the build's shared code table. Every differential
+  // gate in the benches compares the two engines against each other.
   ExecutionEngine engine = ExecutionEngine::kSuperblock;
 };
 
@@ -212,7 +213,7 @@ class DeviceSession {
   // artifacts: the machine's materialized copy-on-write pages and page
   // tables (sim::PagedMemory) plus the CFA monitor's resident log
   // arena. The bench_fleet_10k per-device gate reads this; the shared
-  // flat image, decode tables and CFG are counted once per build, not
+  // flat image, code table and CFG are counted once per build, not
   // here.
   size_t resident_memory_bytes() const;
 
@@ -226,12 +227,11 @@ class DeviceSession {
   std::mutex& mutex() const { return mu_; }
 
  private:
-  // (Re-)attach the build's shared execution tables per options_.engine
-  // -- decoded image for kPredecoded, decoded + superblock tables for
-  // kSuperblock, neither for kInterpretive. Must run after every flash
-  // of the code regions (construction, adopt_build, reflash): the
-  // attachment snapshots the bus code generation.
-  void attach_engine_tables();
+  // (Re-)attach the build's shared code table unless options_.engine
+  // is kInterpretive. Must run after every flash of the code regions
+  // (construction, adopt_build, reflash): the attachment snapshots the
+  // bus code generation.
+  void attach_code_table();
 
   std::string id_;
   mutable std::mutex mu_;

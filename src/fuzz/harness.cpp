@@ -22,14 +22,13 @@ namespace {
 
 constexpr ExecutionEngine kEngines[] = {
     ExecutionEngine::kInterpretive,
-    ExecutionEngine::kPredecoded,
     ExecutionEngine::kSuperblock,
 };
 
 constexpr uint64_t kNonce = 0xF00DF00DF00DF00Dull;
 
 // One fixed key for every standalone session: cross-engine MAC
-// identity is only meaningful when all three engines MAC with the same
+// identity is only meaningful when both engines MAC with the same
 // key over the same nonce.
 crypto::Digest fixed_key() {
   crypto::Digest d{};
@@ -122,7 +121,7 @@ void DifferentialHarness::check_program(uint64_t seed,
   const auto plain = fleet.build(source, spec.name(), {.eilid = false});
   const auto instr = fleet.build(source, spec.name() + "-eilid", {});
 
-  // Oracle 1: three engines, bit-identical, under every policy.
+  // Oracle 1: both engines, bit-identical, under every policy.
   struct PolicyCase {
     EnforcementPolicy policy;
     bool instrumented;

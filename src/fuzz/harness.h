@@ -6,8 +6,8 @@
 //      enforcement policy, must produce bit-identical final state
 //      (registers, cycles, retired count, resets, RAM) and, where a
 //      CFA monitor is present, bit-identical attestation evidence
-//      (edges, drop count, cycle, MAC) across kInterpretive,
-//      kPredecoded and kSuperblock;
+//      (edges, drop count, cycle, MAC) between kInterpretive and
+//      kSuperblock;
 //   2. sweep identity: a pooled VerifierService sweep over a cohort
 //      must return verdict-for-verdict the same results as a serial
 //      sweep over an identical cohort;

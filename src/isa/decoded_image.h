@@ -1,6 +1,7 @@
 // Predecoded ROM image: a PC-indexed table of fully decoded
-// instructions, built once per build and shared (read-only) by every
-// simulated device flashed with that image.
+// instructions and the straight-line runs (superblocks) they form,
+// built once per build and shared (read-only) by every simulated device
+// flashed with that image.
 //
 // Rationale: CASU guarantees ROM/PMEM immutability at run time, so the
 // per-step `isa::decode()` the interpretive core pays on every retired
@@ -9,6 +10,35 @@
 // simulator consults the table for PCs inside the predecoded ranges and
 // falls back to interpretive decode elsewhere (or after a write lands
 // in the code range -- see Bus::code_generation()).
+//
+// Block fields: every slot also describes the run that starts there
+// -- instruction span, total cycles, and how the run terminates. This
+// is a per-PC *suffix table* rather than a leader-keyed block list.
+// Every even address is a valid block entry whose run extends to the
+// first hazard at or after it (control transfer, SR write, range end,
+// undecodable slot). This subsumes the CFG's block leaders -- a jump
+// or indirect branch into the *middle* of some other entry's run simply
+// dispatches the suffix starting at the landing PC, so block splitting
+// needs no runtime bookkeeping and no CFG lookup (the CFG, extracted
+// per build for the verifier, identifies a subset of these entries;
+// the suffix form is closed over every PC the hardware could ever
+// reach, including ones static analysis never names).
+//
+// Hazards that end a block (BlockEnd):
+//   - kTransfer: the terminator may set PC non-sequentially (jumps,
+//     call/reti, PC-destination ALU ops). Executed as part of the
+//     block; the machine re-dispatches from wherever PC landed.
+//   - kSrWrite: the terminator writes the status register, so GIE or
+//     CPUOFF may flip mid-run; the machine must re-check interrupt
+//     deliverability before the next instruction.
+//   - kRangeEnd: the run hit the end of a predecoded range (top of the
+//     secure ROM, top of memory). Execution falls through into
+//     territory the table does not cover; the per-instruction core
+//     takes over there.
+//   - kLeadsIllegal: the next slot does not decode. The block stops
+//     *before* it so the illegal-instruction trap is raised by the
+//     per-instruction path with exactly the interpretive semantics.
+//   - kNone (span == 0): this PC itself does not decode.
 #ifndef EILID_ISA_DECODED_IMAGE_H
 #define EILID_ISA_DECODED_IMAGE_H
 
@@ -25,6 +55,22 @@ namespace eilid::isa {
 // (br/ret are mov-to-PC after emulated-mnemonic expansion).
 bool is_control_transfer(const Instruction& insn);
 
+// True when executing `insn` can change the status register as a side
+// effect visible to the interrupt logic: any register-mode write whose
+// destination is SR (mov/bis/bic/... to r2, single-op RMW on r2).
+// Flag updates from ALU ops do not count -- C/Z/N/V cannot mask an
+// interrupt; GIE and CPUOFF can only be set through an SR-destination
+// write (or reti, which is a control transfer already).
+bool writes_status_register(const Instruction& insn);
+
+enum class BlockEnd : uint8_t {
+  kNone,          // entry PC does not decode (span == 0)
+  kTransfer,      // control-transfer terminator
+  kSrWrite,       // status-register-writing terminator
+  kRangeEnd,      // predecoded range ends after the terminator
+  kLeadsIllegal,  // the slot after the terminator does not decode
+};
+
 class DecodedImage {
  public:
   struct Entry {
@@ -34,7 +80,15 @@ class DecodedImage {
                                 // instruction (authoritative illegal)
     uint8_t cycles = 0;         // isa::instruction_cycles(insn)
     Format format = Format::kDouble;  // opcode_info(insn.op).format
-    bool control_transfer = false;
+    // --- the block (straight-line run) starting at this pc ----------
+    BlockEnd end = BlockEnd::kNone;
+    uint16_t span = 0;  // instructions from this pc through the terminator
+    uint16_t block_cycles = 0;  // summed cycles over the span
+    // Static branch target of a kTransfer terminator: the jump target
+    // for jump-format instructions, the immediate callee for
+    // `call #addr`; 0 for indirect transfers (and for every other
+    // terminator kind, whose successor is the fall-through).
+    uint16_t target = 0;
   };
 
   // Inclusive code region to predecode; `first`/`last` must be even.
@@ -50,8 +104,8 @@ class DecodedImage {
   // land.
   DecodedImage(std::span<const uint8_t> memory, std::span<const Range> ranges);
 
-  // Entry for the instruction starting at `pc`, or nullptr when pc is
-  // outside every predecoded range (the caller must decode
+  // Entry for the instruction (and block) starting at `pc`, or nullptr
+  // when pc is outside every predecoded range (the caller must decode
   // interpretively). A non-null entry with size_words == 0 means the
   // bytes at pc do not decode -- an illegal-instruction trap, no
   // interpretive retry needed.
@@ -64,21 +118,6 @@ class DecodedImage {
     return nullptr;
   }
 
-  // Number of addresses that decoded to a legal instruction.
-  size_t decoded_count() const { return decoded_count_; }
-  // Total predecoded slots across all ranges.
-  size_t slot_count() const;
-
-  // Read-only view of one range's contiguous entry array (entry i is
-  // the slot at address first + 2*i). Derived tables -- the superblock
-  // suffix table -- are built from these views instead of re-decoding.
-  struct RangeView {
-    uint16_t first;
-    uint16_t last;
-    std::span<const Entry> entries;
-  };
-  std::vector<RangeView> range_views() const;
-
  private:
   struct RangeTable {
     uint16_t first;
@@ -87,7 +126,6 @@ class DecodedImage {
   };
 
   std::vector<RangeTable> tables_;
-  size_t decoded_count_ = 0;
 };
 
 }  // namespace eilid::isa

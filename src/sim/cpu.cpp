@@ -286,9 +286,9 @@ void Cpu::exec_single(const isa::Instruction& insn, uint16_t insn_pc) {
   write_at(ref, byte && insn.op != Opcode::kSxt, result);
 }
 
-void Cpu::exec_jump(const isa::Decoded& decoded) {
+void Cpu::exec_jump(Opcode op, uint16_t target) {
   bool taken = false;
-  switch (decoded.insn.op) {
+  switch (op) {
     case Opcode::kJnz: taken = !flag(sr::kZ); break;
     case Opcode::kJz: taken = flag(sr::kZ); break;
     case Opcode::kJnc: taken = !flag(sr::kC); break;
@@ -299,7 +299,7 @@ void Cpu::exec_jump(const isa::Decoded& decoded) {
     case Opcode::kJmp: taken = true; break;
     default: break;
   }
-  if (taken) regs_[isa::kPC] = decoded.jump_target();
+  if (taken) regs_[isa::kPC] = target;
 }
 
 std::optional<isa::Decoded> Cpu::interpret_decode(uint16_t pc) const {
@@ -379,7 +379,7 @@ StepOutcome Cpu::step() {
       exec_single(decoded.insn, cur_pc_);
       break;
     case isa::Format::kJump:
-      exec_jump(decoded);
+      exec_jump(decoded.insn.op, decoded.jump_target());
       break;
   }
 
@@ -391,47 +391,15 @@ StepOutcome Cpu::step() {
   return out;
 }
 
-void Cpu::rebuild_engine_ranges() {
-  engine_ranges_.clear();
-  if (blocks_ == nullptr || image_ == nullptr) return;
-  auto block_views = blocks_->range_views();
-  auto decoded_views = image_->range_views();
-  if (block_views.size() != decoded_views.size()) return;  // mismatched tables
-  for (size_t i = 0; i < block_views.size(); ++i) {
-    if (block_views[i].first != decoded_views[i].first ||
-        block_views[i].last != decoded_views[i].last) {
-      engine_ranges_.clear();
-      return;
-    }
-    engine_ranges_.push_back({block_views[i].first, block_views[i].last,
-                              block_views[i].entries.data(),
-                              decoded_views[i].entries.data()});
-  }
-}
-
 BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
                         bool chain) {
   BlockRun out;
   // One validity check for the whole run, where step() pays one per
-  // instruction: the block table shares the decoded image's snapshot
-  // rule, so a single generation compare covers both.
-  if (engine_ranges_.empty() || bus_.code_generation() != image_generation_) {
-    return out;
-  }
+  // instruction.
+  if (!decode_cache_valid()) return out;
   uint16_t pc = regs_[isa::kPC];
-  const isa::BlockImage::Entry* block = nullptr;
-  const isa::DecodedImage::Entry* entry = nullptr;
-  const EngineRange* range = nullptr;
-  for (const EngineRange& r : engine_ranges_) {
-    if (pc >= r.first && pc <= r.last) {
-      const size_t slot = static_cast<size_t>(pc - r.first) >> 1;
-      block = r.blocks + slot;
-      entry = r.decoded + slot;
-      range = &r;
-      break;
-    }
-  }
-  if (block == nullptr || block->span == 0) return out;
+  const isa::DecodedImage::Entry* entry = image_->lookup(pc);
+  if (entry == nullptr || entry->span == 0) return out;
   // Interrupt horizon: if a tick-driven source could assert within this
   // block's cycle count, an enabled CPU must take it at the exact
   // instruction boundary the interpretive engine would -- refuse and
@@ -440,7 +408,7 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
   // movement comes from peripheral register access, which ends the run
   // below.)
   if (gie() &&
-      bus_.cycles_until_irq() <= block->cycles + bus_.tick_debt()) {
+      bus_.cycles_until_irq() <= entry->block_cycles + bus_.tick_debt()) {
     return out;
   }
 
@@ -460,7 +428,7 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
   // at exit); both always describe the final instruction attempted.
   uint16_t last_pc = pc;
   uint16_t last_next = entry->next_address;
-  uint16_t remaining = block->span;
+  uint16_t remaining = entry->span;
   for (;;) {
     cur_pc_ = pc;
     if (watched && !bus_.notify_fetch(pc)) {
@@ -479,14 +447,10 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
       case isa::Format::kSingle:
         exec_single(entry->insn, pc);
         break;
-      case isa::Format::kJump: {
-        isa::Decoded decoded;
-        decoded.insn = entry->insn;
-        decoded.address = pc;
-        decoded.size_words = entry->size_words;
-        exec_jump(decoded);
+      case isa::Format::kJump:
+        // A jump always ends its block, so `target` is its own.
+        exec_jump(entry->insn.op, entry->target);
         break;
-      }
     }
     // Accrue after exec: a peripheral access *inside* this instruction
     // observes the debt of prior instructions only, exactly the state
@@ -514,36 +478,14 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
       pc = regs_[isa::kPC];
       if (pc == breakpoint_pc) break;
       if (cpu_off()) break;
-      block = nullptr;
-      // Chained transfers overwhelmingly land in the range they left:
-      // a taken direct jump's static target (BlockImage::Entry::target)
-      // lives in the same contiguous flash range as the branch, as do
-      // call/ret targets in single-range images. Re-probe the cached
-      // range first and fall back to the linear scan only on a genuine
-      // cross-range transfer, so the hot chain path costs one bounds
-      // compare instead of a walk over every range.
-      if (pc >= range->first && pc <= range->last) {
-        const size_t slot = static_cast<size_t>(pc - range->first) >> 1;
-        block = range->blocks + slot;
-        entry = range->decoded + slot;
-      } else {
-        for (const EngineRange& r : engine_ranges_) {
-          if (pc >= r.first && pc <= r.last) {
-            const size_t slot = static_cast<size_t>(pc - r.first) >> 1;
-            block = r.blocks + slot;
-            entry = r.decoded + slot;
-            range = &r;
-            break;
-          }
-        }
-      }
-      if (block == nullptr || block->span == 0) break;
+      entry = image_->lookup(pc);
+      if (entry == nullptr || entry->span == 0) break;
       if (gie() &&
-          bus_.cycles_until_irq() <= block->cycles + bus_.tick_debt()) {
+          bus_.cycles_until_irq() <= entry->block_cycles + bus_.tick_debt()) {
         break;
       }
       ++blocks_executed_;
-      remaining = block->span;
+      remaining = entry->span;
       continue;
     }
     // Interior instructions are sequential by construction (no control

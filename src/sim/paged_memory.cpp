@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace eilid::sim {
 
@@ -45,9 +46,16 @@ void PagedMemory::release(size_t page, const uint8_t* view) {
 
 void PagedMemory::attach_base(
     std::shared_ptr<const std::vector<uint8_t>> base) {
-  base_ = std::move(base);
+  const auto previous = std::exchange(base_, std::move(base));
   for (size_t page = 0; page < kPageCount; ++page) {
-    if (write_[page] == nullptr) read_[page] = base_page(page);
+    // Only pages still viewing the previous base follow the swap; a
+    // wiped page keeps reading zero.
+    const uint8_t* old_view = previous != nullptr
+                                  ? previous->data() + page * kPageBytes
+                                  : kZeroPage.data();
+    if (write_[page] == nullptr && read_[page] == old_view) {
+      read_[page] = base_page(page);
+    }
   }
 }
 

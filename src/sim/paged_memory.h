@@ -67,11 +67,12 @@ class PagedMemory {
   }
 
   // --- whole-image / page-map operations ----------------------------
-  // Attach (or swap) the shared base image every non-owned page reads
-  // through; null detaches (non-owned pages read zero). The image must
-  // hold 65536 bytes; the pointer is held for the lifetime of the
-  // attachment. Owned pages keep their private bytes -- swapping the
-  // base never changes what an owned page reads.
+  // Attach (or swap) the shared base image that pages still viewing the
+  // previous base read through; null detaches (they read zero). The
+  // image must hold 65536 bytes; the pointer is held for the lifetime
+  // of the attachment. Owned pages keep their private bytes and wiped
+  // pages keep reading zero -- swapping the base never changes what
+  // either reads.
   void attach_base(std::shared_ptr<const std::vector<uint8_t>> base);
   const std::shared_ptr<const std::vector<uint8_t>>& base() const {
     return base_;

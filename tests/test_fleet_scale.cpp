@@ -5,8 +5,8 @@
 //
 //   1. Paged memory is observationally identical to the old flat
 //      64 KiB array -- under random writes, resets, reflashes,
-//      wipe_volatile, base swaps and self-modifying code, across all
-//      three execution engines -- while a device's resident bytes stay
+//      wipe_volatile, base swaps and self-modifying code, under both
+//      execution engines -- while a device's resident bytes stay
 //      proportional to what it *dirtied*, not to the address space.
 //   2. Windowed slice-by-slice verification folds to verdicts
 //      bit-identical to the barrier verify_all() on the same evidence
@@ -31,6 +31,7 @@
 #include "eilid/incremental.h"
 #include "eilid/pipeline.h"
 #include "sim/memory_map.h"
+#include "sim/monitor.h"
 #include "sim/paged_memory.h"
 
 namespace eilid {
@@ -448,6 +449,36 @@ TEST(PagedMemoryTest, ResidencyTracksDirtiedPagesOnly) {
   EXPECT_EQ(mem.resident_bytes(), tables + 2 * sim::PagedMemory::kPageBytes);
 }
 
+// adopt_build swaps the copy-on-write base under a live device. Only
+// pages still viewing the previous base follow the swap: a RAM page
+// that wipe_volatile cleared keeps reading zero, instead of reading
+// the new image's initial data. The campaign skips its closing power
+// cycle so nothing wipes the page again and hides the difference.
+TEST(PagedMemoryTest, AdoptBuildKeepsWipedRamPagesZero) {
+  auto fw = [](int generation) {
+    return ".org 0x0200\n    .word 0x1234\n.org 0xE000\nmain:\n"
+           "    mov #0x1000, r1\n    mov #" +
+           std::to_string(generation) +
+           ", r12\nhalt:\n    jmp halt\n.vector 15, main\n";
+  };
+  Fleet fleet;
+  DeviceSession& dev =
+      fleet.provision("wiped", fw(1), "fw", EnforcementPolicy::kNone);
+  const sim::Bus& bus = dev.machine().bus();
+  ASSERT_EQ(bus.raw_byte(0x0200), 0x34);  // the image's initial data
+  dev.power_cycle();
+  ASSERT_EQ(bus.raw_byte(0x0200), 0x00);
+
+  CampaignOptions options;
+  options.power_cycle = false;
+  const UpdateOutcome out =
+      fleet.stage_update(fw(2), "fw", {.eilid = false}, options).apply_to(dev);
+  ASSERT_EQ(out.result, UpdateResult::kApplied);
+  ASSERT_TRUE(out.build_swapped);
+  EXPECT_EQ(bus.raw_byte(0x0200), 0x00);
+  EXPECT_EQ(bus.raw_byte(0x0201), 0x00);
+}
+
 // A provisioned device's private cost is a handful of dirtied pages,
 // not the 64 KiB address space; reflash returns it to near-baseline.
 TEST(PagedMemoryTest, SessionResidentBytesStayNearSharedImageCost) {
@@ -462,24 +493,32 @@ TEST(PagedMemoryTest, SessionResidentBytesStayNearSharedImageCost) {
   EXPECT_LE(dev.resident_memory_bytes(), resident);
 }
 
-// ------------------------------------------- three-engine differential
+// --------------------------------------------- engine differential
 
-// Random write/reset/reflash/self-modify sequences must leave all
-// three engines in bit-identical states -- same retirement counts,
-// registers, and full memory image -- on the paged memory exactly as
-// they did on the flat array. kNone policy so self-modifying stores
-// are legal.
+// Random write/reset/reflash/self-modify sequences must leave every
+// way of running a device in bit-identical states -- same retirement
+// counts, registers, and full memory image -- on the paged memory
+// exactly as they did on the flat array: interpretive, the superblock
+// engine, and the superblock engine pinned to per-step table dispatch
+// by a wants_step() monitor. kNone policy so self-modifying stores are
+// legal.
 TEST(PagedMemoryTest, EnginesStayBitIdenticalUnderResetsAndSelfModification) {
-  constexpr ExecutionEngine kEngines[] = {ExecutionEngine::kInterpretive,
-                                          ExecutionEngine::kPredecoded,
-                                          ExecutionEngine::kSuperblock};
+  struct Variant {
+    ExecutionEngine engine;
+    bool per_step;
+  };
+  constexpr Variant kVariants[] = {{ExecutionEngine::kInterpretive, false},
+                                   {ExecutionEngine::kSuperblock, true},
+                                   {ExecutionEngine::kSuperblock, false}};
+  sim::Monitor step_pin;  // outlives every fleet below
   std::vector<std::unique_ptr<Fleet>> fleets;
   std::vector<DeviceSession*> devs;
-  for (ExecutionEngine engine : kEngines) {
+  for (const Variant& v : kVariants) {
     auto fleet = std::make_unique<Fleet>();
     devs.push_back(&fleet->provision("d", firmware(0), "fw",
                                      EnforcementPolicy::kNone,
-                                     {.engine = engine}));
+                                     {.engine = v.engine}));
+    if (v.per_step) devs.back()->machine().add_monitor(&step_pin);
     fleets.push_back(std::move(fleet));
   }
 

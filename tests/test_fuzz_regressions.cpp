@@ -177,7 +177,7 @@ TEST(FuzzRegressions, SpillWindowSeedRunsCleanThroughTheHarness) {
   for (const std::string& failure : report.failures) {
     ADD_FAILURE() << failure;
   }
-  EXPECT_EQ(report.engine_runs, 12);
+  EXPECT_EQ(report.engine_runs, 8);
 }
 
 // Found by the fuzzer at mutation seed 53 (`bench_fuzz_soak --seed 53

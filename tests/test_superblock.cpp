@@ -1,36 +1,61 @@
 // Superblock execution engine: block-granular dispatch must be
 // architecturally invisible. Every case here runs the same program
-// under all three ExecutionEngines and demands bit-identical final
-// machine state (registers, cycles, retired instructions, reset log
-// and any RAM the program wrote) -- plus proof the superblock run
-// actually dispatched blocks, so the equality is not vacuous. The
-// cases target the block engine's hard edges: a store into the
-// currently executing block, an interrupt landing mid-block, the
-// decode boundary at the top of memory, an indirect branch into the
-// middle of another entry's run, and fleet-wide sharing of one
-// immutable BlockImage per build.
+// three ways -- interpretive, the shared code table stepped one entry
+// at a time (a wants_step() monitor stands block dispatch down), and
+// block dispatch -- and demands bit-identical final machine state
+// (registers, cycles, retired instructions, reset log and any RAM the
+// program wrote) -- plus proof the block run actually dispatched
+// blocks, so the equality is not vacuous. The cases target the block
+// engine's hard edges: a store into the currently executing block, an
+// interrupt landing mid-block, the decode boundary at the top of
+// memory, an indirect branch into the middle of another entry's run,
+// and fleet-wide sharing of one immutable code table per build. One
+// invariant pins the table itself: every slot's block fields equal a
+// naive forward walk over the decoded entries.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "apps/apps.h"
 #include "cfa/attestation.h"
 #include "eilid/fleet.h"
 #include "eilid/pipeline.h"
-#include "isa/block_image.h"
 #include "isa/decoded_image.h"
 #include "isa/encoder.h"
 #include "sim/memory_map.h"
+#include "sim/monitor.h"
 
 namespace eilid {
 namespace {
 
-constexpr ExecutionEngine kEngines[] = {ExecutionEngine::kInterpretive,
-                                        ExecutionEngine::kPredecoded,
-                                        ExecutionEngine::kSuperblock};
+// One way to run a program. `per_step` attaches a bare monitor whose
+// wants_step() is true: the superblock session then takes Cpu::step()'s
+// per-entry table path everywhere, which keeps that path under the
+// interpretive oracle too.
+struct Variant {
+  ExecutionEngine engine;
+  bool per_step;
+
+  std::string name() const {
+    return std::string(execution_engine_name(engine)) +
+           (per_step ? "-stepped" : "");
+  }
+  // Whether this variant must dispatch blocks (and only this one may).
+  bool dispatches_blocks() const {
+    return engine == ExecutionEngine::kSuperblock && !per_step;
+  }
+};
+
+constexpr Variant kVariants[] = {
+    {ExecutionEngine::kInterpretive, false},
+    {ExecutionEngine::kSuperblock, true},
+    {ExecutionEngine::kSuperblock, false},
+};
 
 // Everything a program run can observably produce. RAM words to compare
 // are listed explicitly per case (ram_from, ram_words).
@@ -67,7 +92,7 @@ std::shared_ptr<const core::BuildResult> build_of(const char* source) {
 // The CFA half of every differential: run the program under
 // kCfaBaseline (CASU + logging monitor -- wants_step() false, so block
 // dispatch stays engaged and on_control_transfer carries the log) on
-// each engine and demand the attestation evidence is bit-identical:
+// each variant and demand the attestation evidence is bit-identical:
 // same edges in the same order, same drop count, same MAC. A block
 // engine that reported transfers at wrong boundaries, merged edges or
 // skipped the denied store would forge different evidence.
@@ -75,11 +100,11 @@ void expect_cfa_identical(std::shared_ptr<const core::BuildResult> build,
                           const char* tag, uint64_t budget) {
   std::vector<cfa::Report> reports;
   std::vector<FinalState> states;
-  for (ExecutionEngine engine : kEngines) {
-    DeviceSession dev(std::string(tag) + "-cfa-" +
-                          std::string(execution_engine_name(engine)),
-                      build, EnforcementPolicy::kCfaBaseline,
-                      {.engine = engine});
+  for (const Variant& v : kVariants) {
+    sim::Monitor step_pin;
+    DeviceSession dev(std::string(tag) + "-cfa-" + v.name(), build,
+                      EnforcementPolicy::kCfaBaseline, {.engine = v.engine});
+    if (v.per_step) dev.machine().add_monitor(&step_pin);
     dev.machine().set_halt_on_reset(true);
     dev.machine().run(budget);
     states.push_back(capture(dev.machine()));
@@ -123,28 +148,32 @@ donor:
 
 TEST(Superblock, SelfModifyingStoreIntoExecutingBlock) {
   auto build = build_of(kStoreIntoOwnBlock);
-  ASSERT_NE(build->block_image, nullptr);
+  ASSERT_NE(build->decoded_image, nullptr);
   // The victim sits mid-run: the suffix at main spans the store, the
   // victim and the jmp terminator.
-  const auto* entry = build->block_image->lookup(0xE000);
+  const auto* entry = build->decoded_image->lookup(0xE000);
   ASSERT_NE(entry, nullptr);
   EXPECT_GE(entry->span, 4u);
 
   std::vector<FinalState> states;
-  for (ExecutionEngine engine : kEngines) {
-    DeviceSession dev("selfmod-" + std::string(execution_engine_name(engine)),
-                      build, EnforcementPolicy::kNone, {.engine = engine});
+  for (const Variant& v : kVariants) {
+    sim::Monitor step_pin;
+    DeviceSession dev("selfmod-" + v.name(), build, EnforcementPolicy::kNone,
+                      {.engine = v.engine});
+    if (v.per_step) dev.machine().add_monitor(&step_pin);
     auto result = dev.run_to_symbol("halt", 10000);
     EXPECT_EQ(result.cause, sim::StopCause::kBreakpoint);
-    EXPECT_EQ(dev.machine().cpu().reg(12), 0) << execution_engine_name(engine);
-    EXPECT_EQ(dev.machine().cpu().reg(13), 2) << execution_engine_name(engine);
-    if (engine == ExecutionEngine::kSuperblock) {
+    EXPECT_EQ(dev.machine().cpu().reg(12), 0) << v.name();
+    EXPECT_EQ(dev.machine().cpu().reg(13), 2) << v.name();
+    if (v.dispatches_blocks()) {
       EXPECT_GT(dev.machine().blocks_executed(), 0u);
+    } else {
+      EXPECT_EQ(dev.machine().blocks_executed(), 0u) << v.name();
+    }
+    if (v.engine == ExecutionEngine::kSuperblock) {
       // The patched build table is stale for good: the device fell back
       // to interpretive decode at the patch and stays there.
-      EXPECT_FALSE(dev.machine().cpu().decode_cache_valid());
-    } else {
-      EXPECT_EQ(dev.machine().blocks_executed(), 0u);
+      EXPECT_FALSE(dev.machine().cpu().decode_cache_valid()) << v.name();
     }
     states.push_back(capture(dev.machine()));
   }
@@ -202,13 +231,15 @@ timer_isr:
 TEST(Superblock, IrqDeliversAtTheExactMidBlockBoundary) {
   auto build = build_of(kIrqMidBlock);
   std::vector<FinalState> states;
-  for (ExecutionEngine engine : kEngines) {
-    DeviceSession dev("irq-" + std::string(execution_engine_name(engine)),
-                      build, EnforcementPolicy::kNone, {.engine = engine});
+  for (const Variant& v : kVariants) {
+    sim::Monitor step_pin;
+    DeviceSession dev("irq-" + v.name(), build, EnforcementPolicy::kNone,
+                      {.engine = v.engine});
+    if (v.per_step) dev.machine().add_monitor(&step_pin);
     auto result = dev.run_to_symbol("halt", 200000);
     EXPECT_EQ(result.cause, sim::StopCause::kBreakpoint);
-    EXPECT_EQ(dev.machine().cpu().reg(14), 40) << execution_engine_name(engine);
-    if (engine == ExecutionEngine::kSuperblock) {
+    EXPECT_EQ(dev.machine().cpu().reg(14), 40) << v.name();
+    if (v.dispatches_blocks()) {
       EXPECT_GT(dev.machine().blocks_executed(), 0u);
     }
     // 40 logged r12 snapshots, one per delivery.
@@ -243,12 +274,11 @@ TEST(Superblock, BlockEndsAtRangeBoundary) {
   }
   const isa::DecodedImage::Range range[] = {{0xFF00, 0xFF0A}};
   isa::DecodedImage decoded(memory, range);
-  isa::BlockImage blocks(decoded);
-  const auto* first = blocks.lookup(0xFF00);
+  const auto* first = decoded.lookup(0xFF00);
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->span, 6u);
   EXPECT_EQ(first->end, isa::BlockEnd::kRangeEnd);
-  const auto* last = blocks.lookup(0xFF0A);
+  const auto* last = decoded.lookup(0xFF0A);
   ASSERT_NE(last, nullptr);
   EXPECT_EQ(last->span, 1u);
   EXPECT_EQ(last->end, isa::BlockEnd::kRangeEnd);
@@ -276,14 +306,15 @@ top:
 TEST(Superblock, RunOffDecodedTailFaultsIdentically) {
   auto build = build_of(kRunsOffTheTop);
   std::vector<FinalState> states;
-  for (ExecutionEngine engine : kEngines) {
-    DeviceSession dev("top-" + std::string(execution_engine_name(engine)),
-                      build, EnforcementPolicy::kNone, {.engine = engine});
+  for (const Variant& v : kVariants) {
+    sim::Monitor step_pin;
+    DeviceSession dev("top-" + v.name(), build, EnforcementPolicy::kNone,
+                      {.engine = v.engine});
+    if (v.per_step) dev.machine().add_monitor(&step_pin);
     dev.machine().set_halt_on_reset(true);
     auto result = dev.machine().run(10000);
-    EXPECT_EQ(result.cause, sim::StopCause::kDeviceReset)
-        << execution_engine_name(engine);
-    if (engine == ExecutionEngine::kSuperblock) {
+    EXPECT_EQ(result.cause, sim::StopCause::kDeviceReset) << v.name();
+    if (v.dispatches_blocks()) {
       EXPECT_GT(dev.machine().blocks_executed(), 0u);
     }
     // Power-on plus exactly one illegal-instruction trap at 0xFFC8 (the
@@ -323,12 +354,12 @@ halt:
 
 TEST(Superblock, IndirectBranchToMidBlockPcDispatchesTheSuffix) {
   auto build = build_of(kIndirectToMidBlock);
-  ASSERT_NE(build->block_image, nullptr);
+  ASSERT_NE(build->decoded_image, nullptr);
   // blockstart = 0xE00C, midblock = 0xE00E (mov #imm,r1 and mov #imm,r10
   // are two words each; clr and br are one). The suffix at the landing
   // pc is strictly shorter than the leader's run that contains it.
-  const auto* leader = build->block_image->lookup(0xE00C);
-  const auto* suffix = build->block_image->lookup(0xE00E);
+  const auto* leader = build->decoded_image->lookup(0xE00C);
+  const auto* suffix = build->decoded_image->lookup(0xE00E);
   ASSERT_NE(leader, nullptr);
   ASSERT_NE(suffix, nullptr);
   EXPECT_EQ(leader->span, 4u);  // inc, inc, inc, jmp
@@ -336,14 +367,16 @@ TEST(Superblock, IndirectBranchToMidBlockPcDispatchesTheSuffix) {
   EXPECT_EQ(suffix->end, isa::BlockEnd::kTransfer);
 
   std::vector<FinalState> states;
-  for (ExecutionEngine engine : kEngines) {
-    DeviceSession dev("mid-" + std::string(execution_engine_name(engine)),
-                      build, EnforcementPolicy::kNone, {.engine = engine});
+  for (const Variant& v : kVariants) {
+    sim::Monitor step_pin;
+    DeviceSession dev("mid-" + v.name(), build, EnforcementPolicy::kNone,
+                      {.engine = v.engine});
+    if (v.per_step) dev.machine().add_monitor(&step_pin);
     auto result = dev.run_to_symbol("halt", 10000);
     EXPECT_EQ(result.cause, sim::StopCause::kBreakpoint);
     // The first inc (blockstart) was skipped: only the suffix ran.
-    EXPECT_EQ(dev.machine().cpu().reg(12), 2) << execution_engine_name(engine);
-    if (engine == ExecutionEngine::kSuperblock) {
+    EXPECT_EQ(dev.machine().cpu().reg(12), 2) << v.name();
+    if (v.dispatches_blocks()) {
       EXPECT_GT(dev.machine().blocks_executed(), 0u);
     }
     states.push_back(capture(dev.machine()));
@@ -358,10 +391,10 @@ TEST(Superblock, IndirectBranchToMidBlockPcDispatchesTheSuffix) {
 
 // ------------------------------------------------- fleet-wide sharing
 
-TEST(Superblock, FleetSharesOneBlockImagePerBuild) {
+TEST(Superblock, FleetSharesOneCodeTablePerBuild) {
   Fleet fleet;
   auto build = fleet.build(kIndirectToMidBlock, "shared", {.eilid = false});
-  ASSERT_NE(build->block_image, nullptr);
+  ASSERT_NE(build->decoded_image, nullptr);
 
   std::vector<DeviceSession*> devices;
   for (int i = 0; i < 4; ++i) {
@@ -372,8 +405,8 @@ TEST(Superblock, FleetSharesOneBlockImagePerBuild) {
   }
   for (DeviceSession* dev : devices) {
     // One immutable table per build -- every session points at it.
-    EXPECT_EQ(dev->machine().cpu().block_image(), build->block_image.get());
-    EXPECT_EQ(dev->build().block_image.get(), build->block_image.get());
+    EXPECT_EQ(dev->machine().cpu().decoded_image(), build->decoded_image.get());
+    EXPECT_EQ(dev->build().decoded_image.get(), build->decoded_image.get());
   }
   // Interpretive reference plus every shared-table device agree on the
   // complete final state, and each shared device genuinely dispatched
@@ -388,6 +421,76 @@ TEST(Superblock, FleetSharesOneBlockImagePerBuild) {
     EXPECT_GT(dev->machine().blocks_executed(), 0u) << dev->id();
     EXPECT_EQ(capture(dev->machine()), expected) << dev->id();
   }
+}
+
+// ----------------------------------------------- table invariant
+
+// The block fields of the slot at `pc`, recomputed the slow way: walk
+// forward over the decoded entries from `pc`, following fall-throughs,
+// until the first hazard.
+isa::DecodedImage::Entry forward_walk(const isa::DecodedImage& image,
+                                      uint16_t pc, uint16_t range_last) {
+  isa::DecodedImage::Entry block;
+  const isa::DecodedImage::Entry* e = image.lookup(pc);
+  if (e->size_words == 0) return block;  // kNone, span 0
+  for (;;) {
+    ++block.span;
+    block.block_cycles = static_cast<uint16_t>(block.block_cycles + e->cycles);
+    if (isa::is_control_transfer(e->insn)) {
+      block.end = isa::BlockEnd::kTransfer;
+      if (e->format == isa::Format::kJump) {
+        block.target = isa::Decoded{e->insn, pc, e->size_words}.jump_target();
+      } else if (e->insn.op == isa::Opcode::kCall &&
+                 e->insn.src.mode == isa::AddrMode::kImmediate) {
+        block.target = static_cast<uint16_t>(e->insn.src.value & 0xFFFE);
+      }
+      return block;
+    }
+    if (isa::writes_status_register(e->insn)) {
+      block.end = isa::BlockEnd::kSrWrite;
+      return block;
+    }
+    const uint32_t next = pc + 2u * e->size_words;
+    if (next > range_last) {
+      block.end = isa::BlockEnd::kRangeEnd;
+      return block;
+    }
+    pc = static_cast<uint16_t>(next);
+    e = image.lookup(pc);
+    if (e->size_words == 0) {
+      block.end = isa::BlockEnd::kLeadsIllegal;
+      return block;
+    }
+  }
+}
+
+TEST(Superblock, BlockFieldsEqualAForwardWalkOnEveryTableIvBuild) {
+  const std::pair<uint16_t, uint16_t> ranges[] = {
+      {sim::kRomStart, sim::kRomEnd}, {sim::kPmemStart, 0xFFFE}};
+  size_t multi_instruction_blocks = 0;
+  for (const apps::AppSpec& app : apps::table4_apps()) {
+    for (bool eilid : {false, true}) {
+      const core::BuildResult build =
+          core::build_app(app.source, app.name, {.eilid = eilid});
+      ASSERT_NE(build.decoded_image, nullptr);
+      const isa::DecodedImage& image = *build.decoded_image;
+      for (const auto& [first, last] : ranges) {
+        for (uint32_t pc = first; pc <= last; pc += 2) {
+          const auto* entry = image.lookup(static_cast<uint16_t>(pc));
+          ASSERT_NE(entry, nullptr) << app.name << " pc " << pc;
+          const isa::DecodedImage::Entry want =
+              forward_walk(image, static_cast<uint16_t>(pc), last);
+          ASSERT_EQ(entry->span, want.span) << app.name << " pc " << pc;
+          ASSERT_EQ(entry->block_cycles, want.block_cycles)
+              << app.name << " pc " << pc;
+          ASSERT_EQ(entry->target, want.target) << app.name << " pc " << pc;
+          ASSERT_EQ(entry->end, want.end) << app.name << " pc " << pc;
+          if (entry->span > 1) ++multi_instruction_blocks;
+        }
+      }
+    }
+  }
+  EXPECT_GT(multi_instruction_blocks, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -235,6 +236,37 @@ TEST(PowerLossMatrix, EveryMidApplyPointRecoversAtBoot) {
     dev.run_to_symbol("halt", 100000);
     EXPECT_EQ(dev.machine().uart().tx_text(), "11") << "cut=" << cut;
   }
+}
+
+// One commit path: an atomic apply() goes through the same journal as
+// finalize_transfer(), so it retires a journal an earlier power cut
+// left pending. When apply() bypassed the journal, the next boot
+// replayed the stale v1 journal over the applied v2: the version went
+// 2 -> 1 and the patched byte 0xBB -> 0xAA.
+TEST(PowerLossMatrix, AtomicApplyRetiresAPendingJournal) {
+  Fleet fleet;
+  DeviceSession& dev = fleet.provision("stale-journal", firmware(0), "fw",
+                                       EnforcementPolicy::kCasu);
+  const crypto::Digest key = fleet.update_key("stale-journal");
+  casu::UpdateAuthority authority(
+      std::span<const uint8_t>(key.data(), key.size()));
+  const casu::UpdatePackage v1 = authority.make_package(0xE000, 1, {0xAA});
+  const casu::UpdatePackage v2 = authority.make_package(0xE000, 2, {0xBB});
+
+  for (const casu::TransferChunk& chunk : casu::chunk_package(v1, 24)) {
+    dev.receive_update_chunk(chunk);
+  }
+  // The supply fails before the first region: v1's journal is pending.
+  ASSERT_EQ(dev.finalize_update(0), casu::UpdateStatus::kInterrupted);
+  ASSERT_EQ(dev.firmware_version(), 0u);
+
+  ASSERT_EQ(dev.apply_update(v2), casu::UpdateStatus::kApplied);
+  EXPECT_EQ(dev.firmware_version(), 2u);
+  EXPECT_EQ(dev.machine().bus().raw_byte(0xE000), 0xBB);
+
+  dev.power_cycle();  // boot-time recovery must find nothing to replay
+  EXPECT_EQ(dev.firmware_version(), 2u);
+  EXPECT_EQ(dev.machine().bus().raw_byte(0xE000), 0xBB);
 }
 
 TEST(TransportScenarios, UnreachableDeviceInterruptsThenLaterConverges) {
