@@ -44,8 +44,7 @@ isr:                            ; Fig. 5: ISR entry point
 
 int main() {
   core::RomInfo rom = core::build_rom();
-  core::InstrumentConfig cfg;
-  core::Instrumenter inst(cfg, rom.unit.symbols);
+  core::Instrumenter inst(core::InstrumentConfig{}, rom);
 
   auto original = masm::split_lines(kExample);
   masm::AssembledUnit build1 = masm::assemble(original, "example_1");

@@ -3,7 +3,7 @@
 // simulated to halt, and batch-verified twice -- once per thread count
 // in {1, 2, 4, 8}. The 1-thread row drives the serial engine paths
 // (plain loops, serial verify_all()); the other rows fan out through
-// common::ThreadPool (sharded registry + single-flight cache under
+// common::ThreadPool (device registry + single-flight cache under
 // real contention, apps::run_workload_all(), pooled verify_all()).
 //
 // Correctness gates (the bench FAILS on any violation):

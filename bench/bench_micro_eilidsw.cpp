@@ -56,6 +56,7 @@ void measure() {
   core::BuildResult build;
   build.rom = rom;
   build.app = masm::assemble_text(micro_source(rom), "micro");
+  core::attach_tables(build);
   // A hand-assembled build (the stubs are called directly, nothing to
   // instrument), flashed onto a standalone full-EILID session.
   DeviceSession device("micro", std::make_shared<const core::BuildResult>(

@@ -184,7 +184,8 @@ bool act_two() {
       std::printf("  rollback %s: %s%s\n", wave.device_ids[i].c_str(),
                   std::string(update_result_name(wave.rollbacks[i].result))
                       .c_str(),
-                  wave.rolled_back[i] ? " (build swapped back)" : "");
+                  wave.rollbacks[i].build_swapped ? " (build swapped back)"
+                                                  : "");
     }
   }
   std::printf("halted: %s\nrolled back @%llu\n", report.halt_reason.c_str(),

@@ -81,20 +81,11 @@ struct InstrumentConfig {
   bool backward_edge = true;   // P1: call/ret
   bool interrupt_edge = true;  // P2: ISR prologue/epilogue
   bool forward_edge = true;    // P3: indirect calls + entry table
-  bool lock_table = false;     // hardening: lock the table after boot
   TablePolicy table_policy = TablePolicy::kAddressTaken;
   // true: single-pass assembler-label return addresses (ablation);
   // false: the paper's numeric addresses from the previous iteration's
   // .lst, requiring the three-iteration build of Fig. 2.
   bool label_mode = false;
-  // Rewrite app instructions that *write* r5 to target a scratch
-  // register instead (paper §V); the application value does not
-  // survive, and r5 stays valid at every instruction boundary so an
-  // interrupt can never observe a clobbered shadow index.
-  bool spill_reserved = true;
-  // Mirrors RomConfig::memory_backed_index (set by the pipeline): when
-  // the shadow index lives in r5, app writes to r5 must be spilled.
-  bool index_in_register = true;
 };
 
 }  // namespace eilid::core

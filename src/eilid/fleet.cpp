@@ -1,9 +1,7 @@
 #include "eilid/fleet.h"
 
 #include <algorithm>
-#include <functional>
 
-#include "cfa/cfg.h"
 #include "common/error.h"
 #include "eilid/rollout.h"
 
@@ -12,35 +10,6 @@ namespace eilid {
 // ------------------------------------------------------------------
 // VerifierService
 // ------------------------------------------------------------------
-
-std::shared_ptr<const cfa::Cfg> VerifierService::cfg_for(
-    DeviceSession& session) {
-  const core::BuildResult* key = session.shared_build().get();
-  {
-    std::lock_guard<std::mutex> lock(cfg_mu_);
-    auto it = cfg_cache_.find(key);
-    if (it != cfg_cache_.end()) {
-      if (!it->second.first.expired()) return it->second.second;
-      cfg_cache_.erase(it);  // the build died; the address was recycled
-    }
-  }
-  // Extraction is the expensive half of enrollment: do it unlocked. A
-  // concurrent miss on the same build may extract twice; the first
-  // insert wins and both get an equivalent immutable CFG.
-  auto cfg = std::make_shared<const cfa::Cfg>(
-      cfa::extract_cfg(session.build().app));
-  std::lock_guard<std::mutex> lock(cfg_mu_);
-  // Misses are already paying for an extraction; prune dead builds so
-  // a long-lived service cycling through builds cannot accrete.
-  for (auto it = cfg_cache_.begin(); it != cfg_cache_.end();) {
-    it = it->second.first.expired() ? cfg_cache_.erase(it) : std::next(it);
-  }
-  auto [it, inserted] = cfg_cache_.try_emplace(
-      key, std::weak_ptr<const core::BuildResult>(session.shared_build()),
-      std::move(cfg));
-  (void)inserted;
-  return it->second.second;
-}
 
 VerifierService::DeviceState VerifierService::make_state(
     DeviceSession& session) {
@@ -52,7 +21,7 @@ VerifierService::DeviceState VerifierService::make_state(
   }
   return DeviceState{
       &session,
-      cfa::CfaVerifier(cfg_for(session), session.options().attest_key), 0};
+      cfa::CfaVerifier(session.build().cfg, session.options().attest_key), 0};
 }
 
 void VerifierService::enroll(DeviceSession& session) {
@@ -78,16 +47,12 @@ void VerifierService::withdraw(const std::string& device_id) {
 
 bool VerifierService::stage_cfg_swap(DeviceSession& session) {
   if (session.cfa_monitor() == nullptr) return false;
-  // Extract (or fetch) the current build's CFG before taking mu_ --
-  // cfg_for only touches cfg_mu_, which never nests with a session
-  // mutex the caller holds.
-  std::shared_ptr<const cfa::Cfg> cfg = cfg_for(session);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = devices_.find(session.id());
   if (it == devices_.end() || it->second.session != &session) return false;
   // The caller holds session.mutex(), which is exactly the lock that
   // guards this DeviceState's replay verifier.
-  it->second.verifier.queue_cfg_swap(std::move(cfg));
+  it->second.verifier.queue_cfg_swap(session.build().cfg);
   return true;
 }
 
@@ -250,9 +215,7 @@ crypto::Digest build_key(const std::string& source, const std::string& name,
   flag(in.backward_edge);
   flag(in.interrupt_edge);
   flag(in.forward_edge);
-  flag(in.lock_table);
   flag(in.label_mode);
-  flag(in.spill_reserved);
   num(static_cast<uint64_t>(in.table_policy));
   num(rom.secure_base);
   num(rom.secure_size);
@@ -373,24 +336,15 @@ CampaignScheduler Fleet::plan_rollout(
                       std::move(plan));
 }
 
-Fleet::Shard& Fleet::shard_for(const std::string& device_id) {
-  return shards_[std::hash<std::string>{}(device_id) % kShardCount];
-}
-
-const Fleet::Shard& Fleet::shard_for(const std::string& device_id) const {
-  return shards_[std::hash<std::string>{}(device_id) % kShardCount];
-}
-
 DeviceSession& Fleet::deploy(const std::string& device_id,
                              std::shared_ptr<const core::BuildResult> build,
                              EnforcementPolicy policy, SessionOptions options) {
-  Shard& shard = shard_for(device_id);
   {
     // Fast-fail a duplicate id before paying for session construction
     // (flash + power-on); the try_emplace below stays authoritative
     // for ids racing past this check.
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.sessions.count(device_id) != 0) {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    if (sessions_.count(device_id) != 0) {
       throw FleetError("fleet: device id '" + device_id +
                        "' already deployed");
     }
@@ -406,26 +360,20 @@ DeviceSession& Fleet::deploy(const std::string& device_id,
   // handed out by find()/sessions() stay valid until decommission, and
   // a rollback (enroll or publication failing) withdraws the
   // enrollment *before* the local unique_ptr destroys the session --
-  // the verifier never holds a dangling DeviceSession* (the old
-  // enroll-first code had no such rollback and leaked one if a later
-  // step threw).
+  // the verifier never holds a dangling DeviceSession*.
   bool enrolled_here = false;
   try {
     if (policy == EnforcementPolicy::kCfaBaseline) {
       verifier_.enroll(ref);
       enrolled_here = true;
     }
-    // Publish shard entry and order_ slot in one critical section
-    // (lock order: shard.mu, then order_mu_) so the two indexes stay
-    // consistent for every concurrent observer. The order_ slot is
-    // reserved before the shard insert: once the session is visible in
-    // the shard, the remaining push_back cannot throw, so publication
-    // is all-or-nothing.
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::lock_guard<std::mutex> order_lock(order_mu_);
+    // Publish the map entry and the order_ slot in one critical
+    // section. The order_ slot is reserved before the map insert: once
+    // the session is in the map, the remaining push_back cannot throw,
+    // so publication is all-or-nothing.
+    std::lock_guard<std::mutex> lock(registry_mu_);
     order_.reserve(order_.size() + 1);
-    auto [it, inserted] = shard.sessions.try_emplace(device_id,
-                                                     std::move(session));
+    auto [it, inserted] = sessions_.try_emplace(device_id, std::move(session));
     (void)it;
     if (!inserted) {
       throw FleetError("fleet: device id '" + device_id +
@@ -441,7 +389,6 @@ DeviceSession& Fleet::deploy(const std::string& device_id,
     if (enrolled_here) verifier_.withdraw(device_id);
     throw;
   }
-  count_.fetch_add(1, std::memory_order_relaxed);
   return ref;
 }
 
@@ -456,10 +403,9 @@ DeviceSession& Fleet::provision(const std::string& device_id,
 }
 
 DeviceSession* Fleet::find(const std::string& device_id) {
-  Shard& shard = shard_for(device_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.sessions.find(device_id);
-  return it == shard.sessions.end() ? nullptr : it->second.get();
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  auto it = sessions_.find(device_id);
+  return it == sessions_.end() ? nullptr : it->second.get();
 }
 
 DeviceSession& Fleet::at(const std::string& device_id) {
@@ -470,31 +416,29 @@ DeviceSession& Fleet::at(const std::string& device_id) {
   return *session;
 }
 
+size_t Fleet::size() const {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  return sessions_.size();
+}
+
 std::vector<DeviceSession*> Fleet::sessions() const {
-  std::lock_guard<std::mutex> lock(order_mu_);
+  std::lock_guard<std::mutex> lock(registry_mu_);
   return order_;
 }
 
 void Fleet::decommission(const std::string& device_id) {
-  Shard& shard = shard_for(device_id);
   std::unique_ptr<DeviceSession> doomed;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.sessions.find(device_id);
-    if (it == shard.sessions.end()) {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    auto it = sessions_.find(device_id);
+    if (it == sessions_.end()) {
       throw FleetError("fleet: unknown device id '" + device_id + "'");
     }
     doomed = std::move(it->second);
-    shard.sessions.erase(it);
-    // Same critical section as deploy's insert+push, so the order_
-    // entry always exists here (the find guard is belt-and-braces
-    // against any future path that publishes the indexes separately).
-    std::lock_guard<std::mutex> order_lock(order_mu_);
-    auto order_it = std::find(order_.begin(), order_.end(), doomed.get());
-    if (order_it != order_.end()) order_.erase(order_it);
+    sessions_.erase(it);
+    order_.erase(std::find(order_.begin(), order_.end(), doomed.get()));
   }
   verifier_.withdraw(device_id);
-  count_.fetch_sub(1, std::memory_order_relaxed);
   // `doomed` is destroyed last, after every index has forgotten it.
 }
 

@@ -4,7 +4,9 @@
 //   - a content-hash-keyed build cache: identical (source, options)
 //     pairs run the three-iteration pipeline exactly once and share
 //     one immutable BuildResult across every device flashed with it --
-//     including one shared isa::DecodedImage, the code table: the ROM
+//     including its three per-build tables: the flat image every
+//     session's copy-on-write memory views, the CFG the verifier
+//     replays against, and isa::DecodedImage, the code table: the ROM
 //     predecoded once per build, each slot also carrying its
 //     superblock (the straight-line run from that PC to the first
 //     hazard). A fleet of N devices on one build decodes each
@@ -28,9 +30,9 @@
 //     transition* -- each device moves from its own current cached
 //     build to the target via a MAC'd package diffed between the two
 //     images, keyed and versioned per device. A successful update
-//     atomically swaps the session onto the target build (shared
-//     decoded + block tables, symbols) and stages a replay-CFG swap with the
-//     verifier at the epoch marker the device logged, so pre-update
+//     atomically swaps the session onto the target build (its shared
+//     per-build tables and symbols) and stages a replay-CFG swap with
+//     the verifier at the epoch marker the device logged, so pre-update
 //     evidence replays against the old CFG and post-update evidence
 //     against the new,
 //   - staged rollouts (plan_rollout() -> eilid::CampaignScheduler,
@@ -79,8 +81,9 @@
 //     - Fleet::build()/provision()/deploy(): the build cache is
 //       single-flight -- concurrent builds of the same content hash
 //       run the pipeline once and every caller shares the one result;
-//       the device registry is sharded by device-id hash, so deploys
-//       of distinct ids proceed in parallel.
+//       the device registry is one map under one mutex, held only to
+//       look up or publish (a deploy builds its session and enrolls it
+//       outside the lock, so deploys of distinct ids overlap there).
 //     - Fleet::find()/at()/size()/sessions()/decommission() against
 //       concurrent deploys of *other* ids.
 //     - VerifierService::enroll()/attest()/verify_all()/enrolled()/
@@ -136,7 +139,6 @@
 #ifndef EILID_EILID_FLEET_H
 #define EILID_EILID_FLEET_H
 
-#include <array>
 #include <atomic>
 #include <future>
 #include <map>
@@ -195,10 +197,10 @@ class VerifierService {
     bool operator==(const AttestResult&) const = default;
   };
 
-  // Register a session for attestation: extracts the CFG from its
-  // build and initialises fresh per-device replay state. Throws
-  // eilid::FleetError when the session has no CFA monitor or is
-  // already enrolled. attest() enrolls on first contact
+  // Register a session for attestation: fresh per-device replay state
+  // over its build's CFG (BuildResult::cfg, shared by every device of
+  // the build). Throws eilid::FleetError when the session has no CFA
+  // monitor or is already enrolled. attest() enrolls on first contact
   // automatically. The service keeps a reference for verify_all(): an
   // enrolled session must outlive the service or be withdraw()n first
   // (Fleet::decommission does this for fleet-owned sessions).
@@ -257,8 +259,8 @@ class VerifierService {
   void attach_clock(const FleetClock* clock) { clock_ = clock; }
 
   // Sanction the code change `session` just logged: stage a replay-CFG
-  // swap to the CFG of the session's *current* build (shared via the
-  // per-build cache), taking effect when the device's evidence stream
+  // swap to the CFG of the session's *current* build (its
+  // BuildResult::cfg), taking effect when the device's evidence stream
   // reaches its update marker. Caller must hold session.mutex()
   // (UpdateCampaign does). Returns false -- and stages nothing -- for
   // a session with no CFA monitor, one this service has not enrolled,
@@ -272,12 +274,9 @@ class VerifierService {
     uint32_t expected_seq = 0;
   };
 
-  // Build fresh replay state for a session. Throws when it has no CFA
-  // monitor. The CFG is extracted once per distinct build (cfg_cache_)
-  // and shared read-only by every device flashed from it; neither the
-  // cache lookup nor a miss's extraction holds mu_.
+  // Build fresh replay state for a session over its build's shared
+  // CFG. Throws when it has no CFA monitor.
   DeviceState make_state(DeviceSession& session);
-  std::shared_ptr<const cfa::Cfg> cfg_for(DeviceSession& session);
   // The per-device attestation body; callers hold no service lock.
   // `session` is the device whose log is drained -- normally
   // state.session, but attest() passes the caller's session so an
@@ -300,16 +299,6 @@ class VerifierService {
                            // per-device state is guarded by the
                            // session's own mutex)
   std::map<std::string, DeviceState> devices_;
-  // Extracted CFG per build. The weak pin detects a dead build (and a
-  // recycled key address); stale entries are pruned on every miss, so
-  // the cache never outgrows the set of live builds by more than the
-  // garbage accrued since the last extraction. Enrolled devices keep
-  // their own shared_ptr via CfaVerifier, so eviction is always safe.
-  std::mutex cfg_mu_;
-  std::map<const core::BuildResult*,
-           std::pair<std::weak_ptr<const core::BuildResult>,
-                     std::shared_ptr<const cfa::Cfg>>>
-      cfg_cache_;
   std::atomic<uint64_t> nonce_counter_{1};
 
   const FleetClock* clock_ = nullptr;  // set once, before attestation
@@ -365,7 +354,7 @@ class Fleet {
   DeviceSession* find(const std::string& device_id);
   DeviceSession& at(const std::string& device_id);  // throws FleetError
   void decommission(const std::string& device_id);
-  size_t size() const { return count_.load(); }
+  size_t size() const;
   // Snapshot of the registry in deployment order. The pointers stay
   // valid until the corresponding device is decommissioned.
   std::vector<DeviceSession*> sessions() const;
@@ -416,17 +405,6 @@ class Fleet {
   crypto::Digest update_key(const std::string& device_id) const;
 
  private:
-  // Registry shard: deploys/lookups of ids that hash to different
-  // shards never contend on a lock.
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, std::unique_ptr<DeviceSession>> sessions;
-  };
-  static constexpr size_t kShardCount = 16;
-
-  Shard& shard_for(const std::string& device_id);
-  const Shard& shard_for(const std::string& device_id) const;
-
   FleetOptions options_;
 
   // Build cache: content hash -> shared future of the one pipeline
@@ -438,10 +416,11 @@ class Fleet {
   std::atomic<size_t> cache_hits_{0};
   std::atomic<size_t> pipeline_runs_{0};
 
-  std::array<Shard, kShardCount> shards_;
-  std::atomic<size_t> count_{0};
-  mutable std::mutex order_mu_;
-  std::vector<DeviceSession*> order_;  // deployment order
+  // Device registry: the sessions by id and their deployment order,
+  // always updated together under registry_mu_.
+  mutable std::mutex registry_mu_;
+  std::map<std::string, std::unique_ptr<DeviceSession>> sessions_;
+  std::vector<DeviceSession*> order_;
 
   FleetClock clock_;  // declared before verifier_: the verifier holds a
                       // pointer to it for its whole life

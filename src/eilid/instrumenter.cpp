@@ -259,7 +259,6 @@ InstrumentResult Instrumenter::instrument(
       out.push_back("    call #NS_EILID_store_ind");
       ++result.sites.functions_registered;
     }
-    if (config_.lock_table) out.push_back("    call #NS_EILID_lock");
   };
 
   auto emit_store_ra = [&](size_t site_index) {
@@ -368,25 +367,19 @@ InstrumentResult Instrumenter::instrument(
     // (the index), the discarded-by-design write lands in the
     // scratch, and r5 is never written at all.
     bool spill_r5 = false;
-    if (config_.index_in_register) {
+    if (r5_holds_index_) {
       masm::Statement expanded = stmt;
       if (expanded.kind == masm::Statement::Kind::kInstruction) {
         masm::expand_emulated(expanded, kUnit);
       }
       if (writes_reg(expanded, kIndexReg)) {
-        if (config_.spill_reserved) {
-          spill_r5 = true;
-          ++result.sites.spills;
-          result.warnings.push_back(
-              "line " + std::to_string(stmt.line_no) +
-              ": application writes reserved r5; re-targeted at a "
-              "scratch register (the application value does not "
-              "survive)");
-        } else {
-          result.warnings.push_back(
-              "line " + std::to_string(stmt.line_no) +
-              ": application writes reserved r5 and spilling is disabled");
-        }
+        spill_r5 = true;
+        ++result.sites.spills;
+        result.warnings.push_back(
+            "line " + std::to_string(stmt.line_no) +
+            ": application writes reserved r5; re-targeted at a "
+            "scratch register (the application value does not "
+            "survive)");
       }
     }
 

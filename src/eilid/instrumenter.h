@@ -62,11 +62,14 @@ struct InstrumentResult {
 
 class Instrumenter {
  public:
-  // `rom_symbols` is the symbol table of the assembled EILIDsw image;
-  // the instrumenter resolves the NS_EILID_* entry stubs from it.
-  Instrumenter(InstrumentConfig config,
-               std::map<std::string, uint16_t> rom_symbols)
-      : config_(config), rom_symbols_(std::move(rom_symbols)) {}
+  // `rom` is the assembled EILIDsw image the app is built against: the
+  // instrumenter resolves the NS_EILID_* entry stubs from its symbol
+  // table, and spills application writes to r5 exactly when its config
+  // keeps the shadow index in r5 (not memory_backed_index).
+  Instrumenter(InstrumentConfig config, const RomInfo& rom)
+      : config_(config),
+        rom_symbols_(rom.unit.symbols),
+        r5_holds_index_(!rom.config.memory_backed_index) {}
 
   // Instrument `original`. In numeric mode, `prev_listing` must be the
   // listing of the previous build iteration (original build for the
@@ -77,6 +80,7 @@ class Instrumenter {
  private:
   InstrumentConfig config_;
   std::map<std::string, uint16_t> rom_symbols_;
+  bool r5_holds_index_;
 };
 
 }  // namespace eilid::core

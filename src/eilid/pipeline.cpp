@@ -11,31 +11,10 @@
 
 namespace eilid::core {
 
-std::vector<uint8_t> flat_memory(const BuildResult& build) {
-  std::vector<uint8_t> flat(0x10000, 0);
-  auto blit = [&flat](const masm::MemoryImage& image) {
-    for (const auto& chunk : image.chunks()) {
-      std::copy(chunk.data.begin(), chunk.data.end(),
-                flat.begin() + chunk.base);
-    }
-  };
-  blit(build.app.image);
-  if (build.rom.unit.image.size_bytes() != 0) blit(build.rom.unit.image);
-  return flat;
-}
-
-std::shared_ptr<const std::vector<uint8_t>> shared_flat_image(
-    const BuildResult& build) {
-  if (build.flat_image != nullptr) return build.flat_image;
-  return std::make_shared<const std::vector<uint8_t>>(flat_memory(build));
-}
-
 ImageDiff diff_builds(const BuildResult& from, const BuildResult& to) {
   ImageDiff diff;
-  const auto a_image = shared_flat_image(from);
-  const auto b_image = shared_flat_image(to);
-  const std::vector<uint8_t>& a = *a_image;
-  const std::vector<uint8_t>& b = *b_image;
+  const std::vector<uint8_t>& a = *from.flat_image;
+  const std::vector<uint8_t>& b = *to.flat_image;
   // Equal pages are skipped with one memcmp; only pages that differ
   // are walked byte by byte, in address order, so regions,
   // payload_bytes and first_incompatible come out as a full byte walk
@@ -69,6 +48,21 @@ ImageDiff diff_builds(const BuildResult& from, const BuildResult& to) {
 
 namespace {
 
+// The app and ROM blitted over zero-filled backing store: exactly what
+// a freshly loaded device's memory holds.
+std::vector<uint8_t> flat_memory(const BuildResult& build) {
+  std::vector<uint8_t> flat(0x10000, 0);
+  auto blit = [&flat](const masm::MemoryImage& image) {
+    for (const auto& chunk : image.chunks()) {
+      std::copy(chunk.data.begin(), chunk.data.end(),
+                flat.begin() + chunk.base);
+    }
+  };
+  blit(build.app.image);
+  if (build.rom.unit.image.size_bytes() != 0) blit(build.rom.unit.image);
+  return flat;
+}
+
 // Predecode the build's code regions once, from exactly the bytes a
 // freshly flashed device holds.
 std::shared_ptr<const isa::DecodedImage> predecode(
@@ -82,17 +76,14 @@ std::shared_ptr<const isa::DecodedImage> predecode(
       std::span<const isa::DecodedImage::Range>(ranges, 2));
 }
 
-// Build every shared per-build artifact: the flat flashed snapshot
-// (the sessions' copy-on-write base) and the code table derived from
-// it. Done once per build; every device flashed with this build shares
-// the same two immutable objects.
-void attach_images(BuildResult& result) {
-  result.flat_image =
-      std::make_shared<const std::vector<uint8_t>>(flat_memory(result));
-  result.decoded_image = predecode(*result.flat_image);
-}
-
 }  // namespace
+
+void attach_tables(BuildResult& build) {
+  build.flat_image =
+      std::make_shared<const std::vector<uint8_t>>(flat_memory(build));
+  build.decoded_image = predecode(*build.flat_image);
+  build.cfg = std::make_shared<const cfa::Cfg>(cfa::extract_cfg(build.app));
+}
 
 BuildResult build_app(const std::string& source, const std::string& name,
                       const BuildOptions& options) {
@@ -102,29 +93,21 @@ BuildResult build_app(const std::string& source, const std::string& name,
   if (!options.eilid) {
     result.app = masm::assemble(original, name);
     result.iterations.push_back({original.size(), result.app.image.size_bytes()});
-    attach_images(result);
+    attach_tables(result);
     return result;
   }
 
-  RomConfig rom_cfg = options.rom;
-  if (options.prebuilt_rom != nullptr) {
-    result.rom = *options.prebuilt_rom;
-    rom_cfg = result.rom.config;
-  } else {
-    result.rom = build_rom(rom_cfg);
-  }
+  result.rom = options.prebuilt_rom != nullptr ? *options.prebuilt_rom
+                                              : build_rom(options.rom);
+  Instrumenter inst(options.instrument, result.rom);
 
-  InstrumentConfig icfg = options.instrument;
-  icfg.index_in_register = !rom_cfg.memory_backed_index;
-  Instrumenter inst(icfg, result.rom.unit.symbols);
-
-  if (icfg.label_mode) {
+  if (options.instrument.label_mode) {
     // Single-pass ablation: return addresses are assembler labels.
     InstrumentResult ir = inst.instrument(original, nullptr);
     result.app = masm::assemble(ir.lines, name);
     result.report = std::move(ir);
     result.iterations.push_back({original.size(), result.app.image.size_bytes()});
-    attach_images(result);
+    attach_tables(result);
     return result;
   }
 
@@ -156,7 +139,7 @@ BuildResult build_app(const std::string& source, const std::string& name,
 
   result.app = std::move(build3);
   result.report = std::move(inst3);
-  attach_images(result);
+  attach_tables(result);
   return result;
 }
 

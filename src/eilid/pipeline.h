@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "casu/update.h"
+#include "cfa/cfg.h"
 #include "eilid/instrumenter.h"
 #include "eilid/rom_builder.h"
 #include "isa/decoded_image.h"
@@ -44,21 +45,30 @@ struct BuildResult {
   InstrumentResult report;   // last instrumentation pass
   std::vector<IterationStats> iterations;  // Fig. 2 growth data
   bool converged = true;
-  // Predecoded view of the flashed code regions (secure ROM + PMEM):
-  // per-PC decoded instructions plus the straight-line run starting at
-  // each, built once here and shared read-only by every device flashed
-  // with this build -- the fleet's build cache therefore decodes each
-  // ROM exactly once, however many sessions run it. See
-  // isa::DecodedImage / Machine::attach_decoded_image for the
-  // invalidation rule.
-  std::shared_ptr<const isa::DecodedImage> decoded_image;
-  // The full 64 KiB flashed snapshot (== flat_memory(*this)), built
-  // once here and attached as every session's copy-on-write base image
-  // (sim::PagedMemory): N devices of one build share these bytes and
-  // privately own only the pages they dirty. Same build-once lifetime
-  // as the decoded table.
+  // The build's three per-build tables, built once by attach_tables()
+  // and shared read-only by every device flashed with this build (the
+  // fleet's build cache therefore derives each exactly once, however
+  // many sessions run it). A DeviceSession refuses a build missing any
+  // of them.
+  //
+  // The full 64 KiB flashed snapshot: the app and ROM over zero-filled
+  // backing store, exactly what a freshly loaded device's memory
+  // holds. It is every session's copy-on-write base image
+  // (sim::PagedMemory) -- N devices of one build share these bytes and
+  // privately own only the pages they dirty -- and the image update
+  // campaigns diff and check devices against.
   std::shared_ptr<const std::vector<uint8_t>> flat_image;
+  // The code table, predecoded from flat_image over the flashed code
+  // regions (secure ROM + PMEM): per-PC decoded instructions plus the
+  // straight-line run starting at each. See isa::DecodedImage /
+  // Machine::attach_decoded_image for the invalidation rule.
+  std::shared_ptr<const isa::DecodedImage> decoded_image;
+  // The app's static CFG (cfa::extract_cfg(app)): what the verifier
+  // replays a kCfaBaseline device's evidence against, and what a
+  // campaign swaps replay onto at the update marker.
+  std::shared_ptr<const cfa::Cfg> cfg;
 
+  bool has_tables() const { return flat_image && decoded_image && cfg; }
   size_t binary_size() const { return app.image.size_bytes(); }
 };
 
@@ -67,18 +77,12 @@ struct BuildResult {
 BuildResult build_app(const std::string& source, const std::string& name,
                       const BuildOptions& options = {});
 
-// Full 64 KiB address-space snapshot of the flashed build (app + ROM
-// over zero-filled backing store) -- exactly what a freshly loaded
-// device's memory holds. The predecoder and the update differ both
-// read builds through this one definition.
-std::vector<uint8_t> flat_memory(const BuildResult& build);
-
-// The build's cached flat_image, or -- for a build made outside
-// build_app, which carries none -- a freshly flattened copy. Sessions
-// flash from it and campaigns check devices against it, so for a
-// build_app build both hold the one shared image.
-std::shared_ptr<const std::vector<uint8_t>> shared_flat_image(
-    const BuildResult& build);
+// Build the three per-build tables (flat_image, decoded_image, cfg)
+// from `build`'s app and ROM units, replacing any already attached.
+// build_app ends with this step; a build assembled by hand (a test's
+// stub app, a micro-benchmark) must call it before a DeviceSession
+// will flash it.
+void attach_tables(BuildResult& build);
 
 // Byte diff between two builds' flashed images, expressed as the
 // coalesced PMEM write regions an authenticated update must apply to
@@ -93,6 +97,7 @@ struct ImageDiff {
   size_t payload_bytes = 0;
 };
 
+// Reads both builds' flat_image, which must be attached.
 ImageDiff diff_builds(const BuildResult& from, const BuildResult& to);
 
 }  // namespace eilid::core

@@ -108,19 +108,20 @@ CampaignScheduler::Resolved CampaignScheduler::resolve() const {
   return resolved;
 }
 
-std::vector<UpdateOutcome> CampaignScheduler::apply_wave(
-    const std::vector<DeviceSession*>& wave, common::ThreadPool& pool) {
-  std::vector<UpdateOutcome> out(wave.size());
+std::vector<UpdateOutcome> CampaignScheduler::apply_chunked(
+    const std::vector<DeviceSession*>& members, common::ThreadPool& pool,
+    const std::function<UpdateOutcome(DeviceSession&)>& update) const {
+  std::vector<UpdateOutcome> out(members.size());
   // Rate limit: at most max_in_flight devices mid-update at once --
-  // the wave is fed to the pool in chunks. Chunking only changes
+  // the members are fed to the pool in chunks. Chunking only changes
   // scheduling, never outcomes (each device's result depends on its
   // own state alone).
-  const size_t limit = plan_.max_in_flight == 0 ? wave.size()
+  const size_t limit = plan_.max_in_flight == 0 ? members.size()
                                                 : plan_.max_in_flight;
-  for (size_t base = 0; base < wave.size(); base += limit) {
-    const size_t chunk = std::min(limit, wave.size() - base);
+  for (size_t base = 0; base < members.size(); base += limit) {
+    const size_t chunk = std::min(limit, members.size() - base);
     pool.parallel_for(chunk, [&](size_t i) {
-      out[base + i] = campaign_.apply_to(*wave[base + i]);
+      out[base + i] = update(*members[base + i]);
     });
   }
   return out;
@@ -161,7 +162,9 @@ RolloutReport CampaignScheduler::run(common::ThreadPool& pool) {
       }
     }
 
-    wave.updates = apply_wave(members, pool);
+    wave.updates = apply_chunked(members, pool, [this](DeviceSession& s) {
+      return campaign_.apply_to(s);
+    });
     wave.applied_tick = clock.now();
     if (plan_.soak_ticks > 0) {
       // Immediate post-apply sweep: the update itself must already
@@ -232,39 +235,23 @@ void CampaignScheduler::roll_back(
   // this is an ordinary authenticated update that happens to restore
   // old bytes.
   std::map<const core::BuildResult*, UpdateCampaign> reverse;
+  // Stage every reverse campaign before any fan-out: workers only look
+  // campaigns up, so the map never changes under them.
+  for (const auto& entry : prior_builds) {
+    const auto& prior = entry.second;
+    if (reverse.count(prior.get()) == 0) {
+      reverse.emplace(prior.get(),
+                      fleet_->stage_update(prior, campaign_.options()));
+    }
+  }
   for (size_t w = 0; w < report.waves.size(); ++w) {
     WaveOutcome& wave = report.waves[w];
     if (!wave.applied) continue;
-    const std::vector<DeviceSession*>& members = waves[w];
-    wave.rollbacks.resize(members.size());
-
-    const size_t limit =
-        plan_.max_in_flight == 0 ? members.size() : plan_.max_in_flight;
-    for (size_t base = 0; base < members.size(); base += limit) {
-      const size_t chunk = std::min(limit, members.size() - base);
-      auto reverse_one = [&](size_t i) {
-        DeviceSession* session = members[base + i];
-        UpdateCampaign& campaign = reverse.at(
-            prior_builds.at(session).get());
-        wave.rollbacks[base + i] = campaign.apply_to(*session);
-      };
-      // Stage the chunk's campaigns before fanning out (the map must
-      // not rehash under concurrent readers).
-      for (size_t i = 0; i < chunk; ++i) {
-        const auto& prior = prior_builds.at(members[base + i]);
-        if (reverse.count(prior.get()) == 0) {
-          reverse.emplace(prior.get(),
-                          fleet_->stage_update(prior, campaign_.options()));
-        }
-      }
-      pool.parallel_for(chunk, reverse_one);
-    }
-    // Filled after the fan-out: concurrent writes to neighbouring
-    // std::vector<bool> elements would race on the shared word.
-    wave.rolled_back.reserve(members.size());
-    for (const UpdateOutcome& rollback : wave.rollbacks) {
-      wave.rolled_back.push_back(rollback.build_swapped);
-    }
+    wave.rollbacks =
+        apply_chunked(waves[w], pool, [&](DeviceSession& session) {
+          return reverse.at(prior_builds.at(&session).get())
+              .apply_to(session);
+        });
   }
 }
 

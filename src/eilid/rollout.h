@@ -160,10 +160,9 @@ struct WaveOutcome {
   Tick soaked_until = 0;  // clock after the soak window (0: no soak)
   // rollback_on_halt only: the reverse-campaign outcome per device,
   // parallel to device_ids (kAlreadyCurrent for devices whose forward
-  // update never swapped the build), and whether that device's build
-  // was actually swapped back. Empty on runs that never rolled back.
+  // update never swapped the build; build_swapped says whether the
+  // device actually went back). Empty on runs that never rolled back.
   std::vector<UpdateOutcome> rollbacks;
-  std::vector<bool> rolled_back;
   size_t failures = 0;   // distinct devices failing update and/or gates
   size_t allowance = 0;  // budget.allowance(wave size)
   bool applied = false;  // campaign + gate ran on this wave
@@ -209,12 +208,14 @@ class CampaignScheduler {
     std::vector<std::string> held;
   };
   Resolved resolve() const;
-  std::vector<UpdateOutcome> apply_wave(
-      const std::vector<DeviceSession*>& wave, common::ThreadPool& pool);
-  // Reverse every swapped device in `touched` (session -> the build it
-  // ran before its wave) back onto that prior build, filling each
-  // wave's rollbacks/rolled_back slots. Runs under the same chunked
-  // max_in_flight fan-out as apply_wave.
+  // The one rate-limited fan-out: `update` every member, at most
+  // plan_.max_in_flight at a time, outcomes in member order.
+  std::vector<UpdateOutcome> apply_chunked(
+      const std::vector<DeviceSession*>& members, common::ThreadPool& pool,
+      const std::function<UpdateOutcome(DeviceSession&)>& update) const;
+  // Reverse every swapped device in `prior_builds` (session -> the
+  // build it ran before its wave) back onto that prior build, filling
+  // each applied wave's rollbacks through apply_chunked.
   void roll_back(
       RolloutReport& report,
       const std::vector<std::vector<DeviceSession*>>& waves,

@@ -43,6 +43,20 @@ core::EilidHwConfig hw_config_for(const core::BuildResult& build) {
   return cfg;
 }
 
+// A session flashes from its build's flat image, dispatches from its
+// code table and is attested against its CFG: a build missing any of
+// the three (a hand-assembled one that skipped core::attach_tables) is
+// refused rather than completed here.
+void require_tables(const std::string& id, const core::BuildResult* build) {
+  if (build == nullptr) throw FleetError("session '" + id + "': null build");
+  if (!build->has_tables()) {
+    throw FleetError("session '" + id +
+                     "': build lacks its per-build tables (flat image, "
+                     "code table, CFG); complete it with "
+                     "core::attach_tables");
+  }
+}
+
 }  // namespace
 
 DeviceSession::DeviceSession(std::string device_id,
@@ -53,9 +67,7 @@ DeviceSession::DeviceSession(std::string device_id,
       policy_(policy),
       options_(options),
       machine_(options.clock_hz) {
-  if (!build_) {
-    throw FleetError("session '" + id_ + "': null build");
-  }
+  require_tables(id_, build_.get());
   const bool rom_in_build = build_->rom.unit.image.size_bytes() != 0;
   if (policy_ == EnforcementPolicy::kEilidHw && !rom_in_build) {
     throw FleetError("session '" + id_ +
@@ -92,11 +104,10 @@ DeviceSession::DeviceSession(std::string device_id,
   // Flash by attaching the build's shared flat image as the machine's
   // copy-on-write base (sim::PagedMemory) instead of copying 64 KiB
   // per device: the bytes are identical to chunk-wise loads over
-  // zeroed memory -- flat_memory() is chunks blitted over zeros -- but
+  // zeroed memory -- the flat image is those chunks over zeros -- but
   // N sessions of one build now share one image and privately own only
-  // the pages they dirty. Builds made outside build_app may lack the
-  // cached snapshot; take the one-off copy then.
-  machine_.bus().attach_base_image(core::shared_flat_image(*build_));
+  // the pages they dirty.
+  machine_.bus().attach_base_image(build_->flat_image);
   // Attach the build's shared code table *after* the flash (the
   // attachment snapshots the bus's code generation, so it must see the
   // flashed state). Every session of this build shares the same table.
@@ -153,9 +164,7 @@ casu::UpdateStatus DeviceSession::finalize_update(
 }
 
 void DeviceSession::adopt_build(std::shared_ptr<const core::BuildResult> next) {
-  if (!next) {
-    throw FleetError("session '" + id_ + "': adopt_build with null build");
-  }
+  require_tables(id_, next.get());
   if (policy_ == EnforcementPolicy::kEilidHw &&
       next->rom.unit.image.size_bytes() == 0) {
     throw FleetError("session '" + id_ +
@@ -173,7 +182,7 @@ void DeviceSession::adopt_build(std::shared_ptr<const core::BuildResult> next) {
   // a campaign instead of accreting one dirtied PMEM copy per update.
   // reflash() also restores against the adopted image from here on.
   sim::Bus& bus = machine_.bus();
-  bus.attach_base_image(core::shared_flat_image(*build_));
+  bus.attach_base_image(build_->flat_image);
   bus.reclaim_identical_pages(sim::kRomStart, sim::kRomEnd);
   bus.reclaim_identical_pages(sim::kPmemStart, 0xFFFF);
   // The update's stores bumped the bus code generation (as does the

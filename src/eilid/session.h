@@ -98,7 +98,8 @@ struct SessionOptions {
 class DeviceSession {
  public:
   // Throws eilid::FleetError when the policy and build disagree
-  // (kEilidHw without EILIDsw in the build).
+  // (kEilidHw without EILIDsw in the build) or the build lacks any of
+  // its per-build tables (see core::attach_tables).
   DeviceSession(std::string device_id,
                 std::shared_ptr<const core::BuildResult> build,
                 EnforcementPolicy policy, SessionOptions options = {});
@@ -177,7 +178,7 @@ class DeviceSession {
   // device keeps decoding from a build-time table instead of falling
   // back to interpretive decode forever, and future symbol lookups
   // resolve against the new code. Throws eilid::FleetError on a
-  // policy/build mismatch or a null build.
+  // policy/build mismatch or a null or table-less build.
   void adopt_build(std::shared_ptr<const core::BuildResult> next);
 
   // Power-cycle the device: volatile state and monitor latches clear

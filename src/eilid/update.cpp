@@ -27,8 +27,10 @@ UpdateCampaign::UpdateCampaign(Fleet& fleet,
       target_(std::move(target)),
       options_(options),
       diffs_(std::make_shared<DiffCache>()) {
-  if (!target_) {
-    throw FleetError("update campaign: null target build");
+  if (!target_ || !target_->has_tables()) {
+    throw FleetError(
+        "update campaign: null target build or one without its per-build "
+        "tables (see core::attach_tables)");
   }
 }
 
@@ -45,12 +47,6 @@ UpdateCampaign::FromState UpdateCampaign::diff_from(
   state.from = from;
   state.diff = std::make_shared<const core::ImageDiff>(
       core::diff_builds(*from, *target_));
-  // The from-build's shared image is the very object a session's
-  // never-written pages view, so the mismatch check passes those pages
-  // on a pointer compare. A build made outside build_app has none and
-  // gets a flattened copy (its sessions' bases are copies too, so every
-  // page takes the memcmp path -- same verdict, just slower).
-  state.from_flat = core::shared_flat_image(*from);
   diffs_->diffs.emplace(from.get(), state);
   return state;
 }
@@ -104,12 +100,13 @@ UpdateOutcome UpdateCampaign::apply_locked(DeviceSession& session) {
   // before anything is applied. The scan covers both predecoded ranges
   // (secure ROM and PMEM): ROM is load-time image content for every
   // legitimate device, but a kNone device could have scribbled there.
-  // The compare is page-granular: a page still viewing the from-build's
-  // shared image passes on a pointer compare, and only pages the device
-  // owns (or that view another copy) are memcmp'd -- exact either way.
+  // The compare is page-granular against the from-build's flat_image,
+  // the very object the device's never-written pages view: those pass
+  // on a pointer compare, and only pages the device owns are memcmp'd.
   const sim::Bus& bus = session.machine().bus();
-  if (!bus.raw_range_equals(sim::kRomStart, sim::kRomEnd, *state.from_flat) ||
-      !bus.raw_range_equals(sim::kPmemStart, 0xFFFF, *state.from_flat)) {
+  const std::vector<uint8_t>& from_image = *state.from->flat_image;
+  if (!bus.raw_range_equals(sim::kRomStart, sim::kRomEnd, from_image) ||
+      !bus.raw_range_equals(sim::kPmemStart, 0xFFFF, from_image)) {
     out.result = UpdateResult::kImageMismatch;
     return out;
   }
@@ -153,8 +150,8 @@ UpdateOutcome UpdateCampaign::apply_locked(DeviceSession& session) {
   out.version_after = session.firmware_version();
 
   // The device's PMEM is now byte-identical to the target image: swap
-  // the session onto the target build (shared predecoded table,
-  // symbols), then stage the verifier's CFG swap *while still holding
+  // the session onto the target build (its per-build tables, symbols),
+  // then stage the verifier's CFG swap *while still holding
   // the session mutex* -- a concurrent attestation sweep can therefore
   // never drain the epoch marker before the new CFG is staged for it.
   session.adopt_build(target_);

@@ -3,11 +3,12 @@
 // cached core::BuildResult to a target one via a MAC'd,
 // version-monotonic casu::UpdatePackage derived by diffing the two
 // builds' PMEM images. On success the session atomically swaps to the
-// target build (shared predecoded table, symbols) and the fleet's
-// VerifierService is told to swap that device's replay CFG at the
-// epoch marker the device just logged -- so pre-update evidence
-// replays against the old CFG, post-update evidence against the new,
-// and a legitimate update is never convicted as a hijack.
+// target build (its per-build tables and symbols) and the fleet's
+// VerifierService is told to swap that device's replay CFG to the
+// target's BuildResult::cfg at the epoch marker the device just
+// logged -- so pre-update evidence replays against the old CFG,
+// post-update evidence against the new, and a legitimate update is
+// never convicted as a hijack.
 //
 //   eilid::Fleet fleet;
 //   ... provision devices from build A ...
@@ -175,17 +176,12 @@ class UpdateCampaign {
   UpdateCampaign(Fleet& fleet, std::shared_ptr<const core::BuildResult> target,
                  CampaignOptions options);
 
-  // Everything the campaign derives from one distinct from-build: the
-  // diff to the target, and the flat image the device's code (secure
-  // ROM + PMEM) must still equal for that diff to be applicable.
+  // What the campaign derives from one distinct from-build: the diff
+  // to the target. The device's code (secure ROM + PMEM) must still
+  // equal the from-build's flat_image for that diff to apply.
   struct FromState {
     std::shared_ptr<const core::BuildResult> from;  // pins the build
     std::shared_ptr<const core::ImageDiff> diff;
-    // The from-build's shared flat_image -- the same object every
-    // session of that build views as its copy-on-write base, so clean
-    // pages match by pointer. A flattened copy only when the build
-    // carries no cached image.
-    std::shared_ptr<const std::vector<uint8_t>> from_flat;
   };
 
   // Body of apply_to(); caller holds session.mutex().

@@ -5,6 +5,8 @@
 
 #include <memory>
 
+#include "apps/apps.h"
+#include "cfa/cfg.h"
 #include "common/error.h"
 #include "eilid/inspect.h"
 #include "eilid/instrumenter.h"
@@ -31,6 +33,7 @@ std::shared_ptr<const BuildResult> stub_app(const std::string& body,
   auto build = std::make_shared<BuildResult>();
   build->rom = rom;
   build->app = masm::assemble_text(src, "stubapp");
+  attach_tables(*build);
   return build;
 }
 
@@ -241,6 +244,7 @@ TEST(EilidHw, MidStubEntryDispatchesSafely) {
   auto b = std::make_shared<BuildResult>();
   b->rom = rom;
   b->app = masm::assemble_text(src, "sel");
+  attach_tables(*b);
   DeviceSession device("sel", b, EnforcementPolicy::kEilidHw,
                        {.halt_on_reset = true});
   device.machine().run(5000);
@@ -256,6 +260,7 @@ TEST(EilidHw, LastStubIsLegalEntry) {
   auto b = std::make_shared<BuildResult>();
   b->rom = rom;
   b->app = masm::assemble_text(src, "sel2");
+  attach_tables(*b);
   DeviceSession device("sel2", b, EnforcementPolicy::kEilidHw,
                        {.halt_on_reset = true});
   auto r = device.run_to_symbol("halt", 5000);
@@ -289,7 +294,7 @@ TEST(Instrumenter, CountsSites) {
 
 TEST(Instrumenter, RequiresResetVector) {
   RomInfo rom = build_rom();
-  Instrumenter inst(InstrumentConfig{}, rom.unit.symbols);
+  Instrumenter inst(InstrumentConfig{}, rom);
   auto lines = masm::split_lines(".org 0xe000\nmain:\n    nop\n");
   masm::AssembledUnit unit = masm::assemble(lines, "noreset");
   EXPECT_THROW(inst.instrument(lines, &unit.listing), InstrumentError);
@@ -390,6 +395,41 @@ isr:
   EXPECT_EQ(build.report.sites.isr_prologues, 0);
   EXPECT_EQ(build.report.sites.indirect_calls, 0);
   EXPECT_GT(build.report.sites.direct_calls, 0);
+}
+
+// The CFG is a per-build table built by the same step as the flat
+// image and code table: every Table IV build, plain and instrumented,
+// carries one equal, set by set, to a fresh extraction of its app.
+TEST(Pipeline, EveryTableIvBuildCarriesItsCfg) {
+  const RomInfo rom = build_rom();
+  for (const apps::AppSpec& app : apps::table4_apps()) {
+    for (const bool eilid : {false, true}) {
+      BuildOptions options;
+      options.eilid = eilid;
+      options.prebuilt_rom = eilid ? &rom : nullptr;
+      const BuildResult build = build_app(app.source, app.name, options);
+      SCOPED_TRACE(app.name + (eilid ? " instrumented" : " plain"));
+      ASSERT_TRUE(build.has_tables());
+      const cfa::Cfg want = cfa::extract_cfg(build.app);
+      const cfa::Cfg& got = *build.cfg;
+      EXPECT_EQ(got.code_addrs, want.code_addrs);
+      EXPECT_EQ(got.jump_edges, want.jump_edges);
+      EXPECT_EQ(got.ret_addrs, want.ret_addrs);
+      EXPECT_EQ(got.reti_addrs, want.reti_addrs);
+      EXPECT_EQ(got.call_targets, want.call_targets);
+      EXPECT_EQ(got.isr_entries, want.isr_entries);
+      EXPECT_EQ(got.reset_entry, want.reset_entry);
+      ASSERT_EQ(got.call_sites.size(), want.call_sites.size());
+      for (const auto& [addr, site] : want.call_sites) {
+        auto it = got.call_sites.find(addr);
+        ASSERT_NE(it, got.call_sites.end()) << addr;
+        EXPECT_EQ(it->second.indirect, site.indirect) << addr;
+        EXPECT_EQ(it->second.target, site.target) << addr;
+        EXPECT_EQ(it->second.return_addr, site.return_addr) << addr;
+      }
+      EXPECT_FALSE(got.code_addrs.empty());
+    }
+  }
 }
 
 }  // namespace

@@ -623,36 +623,48 @@ TEST(UpdateCampaignTest, PageRestoredToItsBytesStillUpdates) {
   EXPECT_EQ(dev.machine().uart().tx_text(), "222");
 }
 
-// A build made outside build_app carries no cached flat_image: its
-// sessions flash from a one-off copy and the campaign flattens its own,
-// so no page matches by pointer. The verdicts are the same: a clean
-// device updates, a diverged one is refused.
-TEST(UpdateCampaignTest, BuildWithoutCachedImageStillChecked) {
+// A build carries its three per-build tables (flat image, code table,
+// CFG) or is refused: a session never flattens, predecodes or extracts
+// on its own. Each table is dropped in turn; the session constructor,
+// deploy (leaving no trace), adopt_build and stage_update all refuse.
+TEST(UpdateCampaignTest, BuildMissingATableIsRefused) {
   Fleet fleet;
-  auto bare = std::make_shared<core::BuildResult>(
-      *fleet.build(kFwV1, "fw", plain_build()));
-  bare->flat_image = nullptr;
-  DeviceSession& clean =
-      fleet.deploy("bare-clean", bare, EnforcementPolicy::kCfaBaseline);
-  DeviceSession& diverged =
-      fleet.deploy("bare-diverged", bare, EnforcementPolicy::kCfaBaseline);
-  clean.run_to_symbol("halt", 100000);
-  diverged.run_to_symbol("halt", 100000);
-  diverged.machine().bus().raw_store_byte(0xE800, 0x43);
+  const auto full = fleet.build(kFwV1, "fw", plain_build());
+  DeviceSession& dev =
+      fleet.deploy("dev", full, EnforcementPolicy::kCfaBaseline);
+  for (int table = 0; table < 3; ++table) {
+    auto bare = std::make_shared<core::BuildResult>(*full);
+    if (table == 0) bare->flat_image = nullptr;
+    if (table == 1) bare->decoded_image = nullptr;
+    if (table == 2) bare->cfg = nullptr;
+    ASSERT_FALSE(bare->has_tables()) << table;
+    EXPECT_THROW(
+        DeviceSession("solo", bare, EnforcementPolicy::kCfaBaseline),
+        FleetError)
+        << table;
+    EXPECT_THROW(fleet.deploy("bare", bare, EnforcementPolicy::kCfaBaseline),
+                 FleetError)
+        << table;
+    EXPECT_EQ(fleet.find("bare"), nullptr) << table;
+    EXPECT_FALSE(fleet.verifier().enrolled("bare")) << table;
+    EXPECT_THROW(dev.adopt_build(bare), FleetError) << table;
+    EXPECT_EQ(dev.shared_build(), full) << table;
+    EXPECT_THROW(fleet.stage_update(bare), FleetError) << table;
+  }
+  EXPECT_EQ(fleet.size(), 1u);
 
-  UpdateCampaign campaign = fleet.stage_update(kFwV2, "fw", plain_build());
-  auto refused = campaign.apply_to(diverged);
-  EXPECT_EQ(refused.result, UpdateResult::kImageMismatch);
-  EXPECT_FALSE(refused.build_swapped);
-  EXPECT_EQ(diverged.shared_build().get(), bare.get());
-
-  auto applied = campaign.apply_to(clean);
-  EXPECT_EQ(applied.result, UpdateResult::kApplied);
-  EXPECT_TRUE(applied.build_swapped);
-  EXPECT_EQ(clean.shared_build().get(), campaign.target_build().get());
-  clean.machine().uart().clear_tx();
-  clean.run_to_symbol("halt", 100000);
-  EXPECT_EQ(clean.machine().uart().tx_text(), "222");
+  // attach_tables completes a hand-assembled copy.
+  auto rebuilt = std::make_shared<core::BuildResult>(*full);
+  rebuilt->flat_image = nullptr;
+  rebuilt->decoded_image = nullptr;
+  rebuilt->cfg = nullptr;
+  core::attach_tables(*rebuilt);
+  ASSERT_TRUE(rebuilt->has_tables());
+  EXPECT_EQ(*rebuilt->flat_image, *full->flat_image);
+  DeviceSession& completed =
+      fleet.deploy("completed", rebuilt, EnforcementPolicy::kCfaBaseline);
+  completed.run_to_symbol("halt", 100000);
+  EXPECT_TRUE(fleet.verifier().attest(completed).ok());
 }
 
 // Records every retired-instruction transition, fall-through included.
@@ -740,6 +752,30 @@ TEST(UpdateCampaignTest, NonPmemDifferenceIsIncompatible) {
   EXPECT_FALSE(outcome.build_swapped);
   EXPECT_EQ(dev.firmware_version(), 0u);
   EXPECT_THROW(campaign.package_for(dev), FleetError);
+}
+
+// The CFG is a per-build table: every device of a build replays
+// against the build's one Cfg object (each enrolled verifier holds a
+// reference to it, none a copy), and withdrawing a device drops its
+// reference.
+TEST(VerifierServiceTest, SessionsOfOneBuildShareItsCfg) {
+  Fleet fleet;
+  const auto build = fleet.build(kTinyApp, "tiny", {.eilid = false});
+  ASSERT_NE(build->cfg, nullptr);
+  const long base = build->cfg.use_count();
+  for (int i = 0; i < 3; ++i) {
+    DeviceSession& dev = fleet.deploy("cfa-" + std::to_string(i), build,
+                                      EnforcementPolicy::kCfaBaseline);
+    EXPECT_EQ(dev.build().cfg, build->cfg);
+  }
+  fleet.deploy("casu", build, EnforcementPolicy::kCasu);
+  EXPECT_EQ(build->cfg.use_count(), base + 3);
+  for (DeviceSession* dev : fleet.sessions()) dev->run_to_symbol("halt", 100000);
+  for (const auto& verdict : fleet.verifier().verify_all()) {
+    EXPECT_TRUE(verdict.ok()) << verdict.device_id;
+  }
+  fleet.decommission("cfa-1");
+  EXPECT_EQ(build->cfg.use_count(), base + 2);
 }
 
 // A report replayed to the verifier out of sequence is flagged even

@@ -1,6 +1,6 @@
 // The parallel fleet engine under contention (run these under
 // ThreadSanitizer -- the CI tsan job does): single-flight build cache,
-// sharded registry, concurrent attestation with per-device locking,
+// the device registry, concurrent attestation with per-device locking,
 // and the determinism contract of the pooled verify_all() sweep.
 #include <gtest/gtest.h>
 

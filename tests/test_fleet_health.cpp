@@ -656,17 +656,16 @@ TEST(RollbackTest, HaltRollsTheTouchedFleetBackToPriorBuilds) {
   ASSERT_EQ(report.waves.size(), 1u);
   const WaveOutcome& wave = report.waves[0];
   ASSERT_EQ(wave.rollbacks.size(), 6u);
-  ASSERT_EQ(wave.rolled_back.size(), 6u);
 
   // dev-00 never swapped (bad MAC): the reverse campaign finds it
   // already on its prior build. Everyone else is driven back.
   EXPECT_EQ(wave.updates[0].result, UpdateResult::kBadMac);
   EXPECT_EQ(wave.rollbacks[0].result, UpdateResult::kAlreadyCurrent);
-  EXPECT_FALSE(wave.rolled_back[0]);
+  EXPECT_FALSE(wave.rollbacks[0].build_swapped);
   for (size_t i = 1; i < 6; ++i) {
     EXPECT_EQ(wave.updates[i].result, UpdateResult::kApplied) << i;
     EXPECT_EQ(wave.rollbacks[i].result, UpdateResult::kApplied) << i;
-    EXPECT_TRUE(wave.rolled_back[i]) << i;
+    EXPECT_TRUE(wave.rollbacks[i].build_swapped) << i;
   }
 
   // Each device is back on the exact build it ran before the wave --
