@@ -17,7 +17,7 @@ class FlowTracer : public sim::Monitor {
  public:
   FlowTracer(const core::RomInfo& rom) : rom_(rom) {}
 
-  bool on_fetch(uint16_t pc) override {
+  bool on_fetch(uint16_t pc, std::optional<uint16_t>) override {
     const char* section = "app";
     if (pc >= rom_.entry_start && pc <= rom_.entry_end) {
       section = "entry";

@@ -18,7 +18,11 @@
 //     measuring nothing).
 // Wall-clock numbers are reported but not gated (host-dependent); the
 // CI regression gate (scripts/check_bench_regression.py) compares the
-// emitted speedups against the committed baseline instead. The fleet
+// emitted speedups against the committed baseline of the same mode
+// instead. Each row also records `dispatches` (machine-loop block runs;
+// `blocks` counts every block, chained ones included) and
+// `monitor_tax` (kNone superblock MIPS over the policy's), which is
+// informational and not gated. The fleet
 // sweep's pool holds min(8, hardware threads) workers; the count is
 // printed and recorded.
 //
@@ -115,6 +119,7 @@ struct ModeRun {
   uint64_t instructions = 0;
   uint64_t sim_cycles = 0;
   uint64_t blocks = 0;  // superblocks dispatched in the timed run
+  uint64_t dispatches = 0;  // machine-loop block runs (chains) among them
   uint64_t trace_hash = 0;
   uint64_t trace_steps = 0;
   std::string verdict;  // kCfaBaseline only
@@ -153,6 +158,7 @@ ModeRun run_mode(Fleet& fleet, std::shared_ptr<const core::BuildResult> build,
     out.instructions = dev.machine().cpu().instructions_retired();
     out.sim_cycles = dev.machine().cycles();
     out.blocks = dev.machine().blocks_executed();
+    out.dispatches = dev.machine().block_dispatches();
     if (policy == EnforcementPolicy::kCfaBaseline) {
       out.verdict = verdict_fingerprint(fleet.verifier().attest(dev));
     }
@@ -188,13 +194,15 @@ int main(int argc, char** argv) {
   std::printf("Simulator core throughput (%s: %llu cycles/run)\n\n",
               smoke ? "smoke" : "full",
               static_cast<unsigned long long>(timed_cycles));
-  std::printf("%-13s | %-11s | %-11s | %-8s | %-6s | %s\n", "policy",
-              "interp MIPS", "superb MIPS", "blk x", "trace", "verdict");
-  for (int i = 0; i < 70; ++i) std::putchar('-');
+  std::printf("%-13s | %-11s | %-11s | %-8s | %-6s | %-10s | %-6s | %s\n",
+              "policy", "interp MIPS", "superb MIPS", "blk x", "tax",
+              "dispatches", "trace", "verdict");
+  for (int i = 0; i < 92; ++i) std::putchar('-');
   std::putchar('\n');
 
   bool ok = true;
   int serial = 0;
+  double none_mips = 0;  // kNone runs first: every monitor_tax divides it
   std::string policy_json;
   for (EnforcementPolicy policy : kPolicies) {
     auto build = policy == EnforcementPolicy::kEilidHw ? instrumented : plain;
@@ -224,23 +232,33 @@ int main(int argc, char** argv) {
 
     const double blk_speedup =
         interp.mips() > 0 ? superb.mips() / interp.mips() : 0.0;
-    std::printf("%-13s | %11.1f | %11.1f | %7.2fx | %-6s | %s\n",
+    if (policy == EnforcementPolicy::kNone) none_mips = superb.mips();
+    // Host-time cost of the policy's monitors on the superblock engine
+    // (kNone MIPS / this policy's MIPS). Informational, never gated:
+    // both sides are single-shot wall time on one host.
+    const double monitor_tax =
+        superb.mips() > 0 ? none_mips / superb.mips() : 0.0;
+    std::printf("%-13s | %11.1f | %11.1f | %7.2fx | %5.2fx | %10llu | %-6s | "
+                "%s\n",
                 std::string(enforcement_policy_name(policy)).c_str(),
-                interp.mips(), superb.mips(), blk_speedup,
+                interp.mips(), superb.mips(), blk_speedup, monitor_tax,
+                static_cast<unsigned long long>(superb.dispatches),
                 trace_ok ? "same" : "DIFFER", verdict_ok ? "same" : "DIFFER");
 
-    char row[640];
+    char row[768];
     std::snprintf(
         row, sizeof(row),
         "    {\"policy\": \"%s\", \"instructions\": %llu, \"sim_cycles\": "
         "%llu, \"mips_interpretive\": %.1f, \"mips_superblock\": %.1f, "
-        "\"speedup_superblock\": %.2f, \"blocks\": %llu, "
+        "\"speedup_superblock\": %.2f, \"monitor_tax\": %.2f, "
+        "\"blocks\": %llu, \"dispatches\": %llu, "
         "\"trace_identical\": %s, \"verdict_identical\": %s},\n",
         std::string(enforcement_policy_name(policy)).c_str(),
         static_cast<unsigned long long>(superb.instructions),
         static_cast<unsigned long long>(superb.sim_cycles), interp.mips(),
-        superb.mips(), blk_speedup,
+        superb.mips(), blk_speedup, monitor_tax,
         static_cast<unsigned long long>(superb.blocks),
+        static_cast<unsigned long long>(superb.dispatches),
         trace_ok ? "true" : "false", verdict_ok ? "true" : "false");
     policy_json += row;
   }

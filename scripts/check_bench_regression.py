@@ -25,8 +25,15 @@ Each row's absolute ``*_ms`` columns are printed next to its ratios,
 for information only (never gated): a ratio can fall because its
 denominator (the serial row) got faster, and the log should show it.
 
-Rows are matched by identity key (``policy`` for the sim bench,
-``threads`` for the fleet bench). A row or speedup column present in
+A fresh run is compared only with baseline rows recorded in the same
+``mode``: a ``--smoke`` run and a full run measure different workloads
+(a smoke run is shorter, so its ratios read differently), and gating
+one against the other is meaningless. A baseline document holds its
+full-mode rows at the top level and may carry a ``smoke`` key holding
+the document a ``--smoke`` run wrote, verbatim. A fresh run whose mode
+the baseline has no rows for is treated like a missing baseline
+(exit 2). Within the chosen block, rows are matched by identity key
+(``policy`` for the sim bench, ``threads`` for the fleet bench). A row or speedup column present in
 the baseline but missing from the fresh run fails the gate (a silently
 dropped measurement is how regressions hide); a *new* column with no
 baseline is noted and passes. The fresh run's own ``ok`` differential
@@ -39,7 +46,8 @@ Self-test (runs this usage on synthetic documents):
     python3 scripts/test_check_bench_regression.py
 
 Exit status: 0 pass, 1 regression (or malformed input), 2 missing
-baseline file (pass-with-warning: first run after adding a bench).
+baseline file or no baseline rows of the fresh run's mode
+(pass-with-warning: first run after adding a bench or a mode).
 
 Stdlib only -- no third-party imports; CI runs it with the system
 python3.
@@ -98,6 +106,19 @@ def rows_of(doc):
     return {}
 
 
+def baseline_for_mode(baseline, mode):
+    """The baseline block recorded in ``mode``: the document itself or its
+    ``smoke`` block, whichever carries that mode; None when neither does."""
+    blocks = [baseline]
+    smoke = baseline.get("smoke")
+    if isinstance(smoke, dict):
+        blocks.append(smoke)
+    for block in blocks:
+        if block.get("mode") == mode:
+            return block
+    return None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fresh", help="bench JSON emitted by this run")
@@ -126,6 +147,14 @@ def main():
     except ValueError as err:
         print(f"FAIL: baseline {args.baseline} is not JSON: {err}")
         return 1
+
+    mode = fresh.get("mode")
+    baseline = baseline_for_mode(baseline, mode)
+    if baseline is None:
+        print(f"WARN: baseline {args.baseline} has no rows of mode {mode!r}; "
+              "record a run of that mode to arm the gate")
+        return 2
+    print(f"comparing {mode!r}-mode rows")
 
     failures = []
     if fresh.get("ok") is not True:

@@ -3,8 +3,9 @@
 
 Runs the gate the way CI does (``check_bench_regression.py FRESH
 BASELINE``) on small synthetic bench documents and checks that each
-row's absolute ``*_ms`` columns are printed beside its ratios, and that
-the printout changes neither the verdict nor the exit status.
+row's absolute ``*_ms`` columns are printed beside its ratios, that the
+printout changes neither the verdict nor the exit status, and that a
+fresh run is compared only with baseline rows of its own mode.
 
 Usage:
     python3 scripts/test_check_bench_regression.py
@@ -22,8 +23,8 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent / "check_bench_regression.py"
 
 
-def bench(rows):
-    return {"bench": "fleet_health", "mode": "smoke", "rows": rows, "ok": True}
+def bench(rows, mode="smoke"):
+    return {"bench": "fleet_health", "mode": mode, "rows": rows, "ok": True}
 
 
 BASELINE = bench([
@@ -91,6 +92,64 @@ class MsColumns(unittest.TestCase):
         self.assertEqual(code, 0, out)
         line = line_with(out, "info", "threads=4", "cadence_ms")
         self.assertTrue(line.rstrip().endswith("fresh -"), line)
+
+
+FULL_ROWS = [
+    {"threads": 1, "cadence_ms": 90.0, "speedup": 1.0},
+    {"threads": 4, "cadence_ms": 45.0, "speedup": 2.0},
+]
+SMOKE_ROWS = [
+    {"threads": 1, "cadence_ms": 20.0, "speedup": 1.0},
+    {"threads": 4, "cadence_ms": 16.0, "speedup": 1.25},
+]
+
+
+def with_smoke(full_rows, smoke_rows):
+    """A baseline as committed: full-mode rows plus a smoke block."""
+    doc = bench(full_rows, mode="full")
+    doc["smoke"] = bench(smoke_rows, mode="smoke")
+    return doc
+
+
+class ModeMatching(unittest.TestCase):
+    def test_smoke_run_is_gated_against_the_smoke_block(self):
+        # 1.20x passes against the smoke row (1.25x) though it is far
+        # below the full-mode row (2.0x).
+        code, out = run_gate(bench([
+            {"threads": 1, "cadence_ms": 20.0, "speedup": 1.0},
+            {"threads": 4, "cadence_ms": 16.7, "speedup": 1.20},
+        ]), with_smoke(FULL_ROWS, SMOKE_ROWS))
+        self.assertEqual(code, 0, out)
+        line = line_with(out, "ok", "threads=4", "speedup")
+        self.assertIn("1.25x", line)
+        self.assertIn("'smoke'", out)
+
+    def test_smoke_regression_fails_even_when_it_beats_the_full_row(self):
+        # A loose full-mode row (0.5x) would let 0.9x pass; the smoke
+        # row (1.25x) catches the 28% loss.
+        code, out = run_gate(bench([
+            {"threads": 1, "cadence_ms": 20.0, "speedup": 1.0},
+            {"threads": 4, "cadence_ms": 22.2, "speedup": 0.90},
+        ]), with_smoke([
+            {"threads": 1, "cadence_ms": 90.0, "speedup": 1.0},
+            {"threads": 4, "cadence_ms": 180.0, "speedup": 0.5},
+        ], SMOKE_ROWS))
+        self.assertEqual(code, 1, out)
+        self.assertIsNotNone(line_with(out, "FAIL", "threads=4", "1.25x"), out)
+
+    def test_full_run_is_gated_against_the_top_level_rows(self):
+        code, out = run_gate(bench([
+            {"threads": 1, "cadence_ms": 90.0, "speedup": 1.0},
+            {"threads": 4, "cadence_ms": 60.0, "speedup": 1.5},
+        ], mode="full"), with_smoke(FULL_ROWS, SMOKE_ROWS))
+        self.assertEqual(code, 1, out)
+        self.assertIsNotNone(line_with(out, "FAIL", "threads=4", "2.00x"), out)
+
+    def test_no_rows_of_the_fresh_mode_is_a_missing_baseline(self):
+        code, out = run_gate(bench(SMOKE_ROWS), bench(FULL_ROWS, mode="full"))
+        self.assertEqual(code, 2, out)
+        self.assertIn("no rows of mode 'smoke'", out)
+        self.assertNotIn("PASS", out)
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ class AttackEngine : public sim::Monitor {
   uint64_t last_fire_cycle() const { return last_fire_cycle_; }
 
   // sim::Monitor
-  bool on_fetch(uint16_t pc) override;
+  bool on_fetch(uint16_t pc, std::optional<uint16_t> prev_pc) override;
   void on_device_reset() override {}  // attacks do not re-arm after reset
 
  private:

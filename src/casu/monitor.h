@@ -46,7 +46,12 @@ class CasuMonitor : public sim::Monitor {
   const CasuConfig& config() const { return config_; }
 
   // --- sim::Monitor interface ---
-  bool on_fetch(uint16_t pc) override;
+  // Fetches that cross between PMEM, ROM and everything else, plus the
+  // pages CASU's rules name: the key region's pages for reads; the
+  // ROM, PMEM and the MMIO control page (kViolationReg/kUpdateCtrl) for
+  // writes. Every other access is allowed without a call.
+  sim::WatchPages watched_pages() const override;
+  bool on_fetch(uint16_t pc, std::optional<uint16_t> prev_pc) override;
   bool on_read(uint16_t addr, uint16_t pc) override;
   bool on_write(uint16_t addr, uint16_t value, bool byte, uint16_t pc) override;
   // All CASU enforcement snoops the bus (per-access hooks above);
@@ -99,8 +104,6 @@ class CasuMonitor : public sim::Monitor {
   CasuConfig config_;
   std::optional<sim::ResetReason> violation_;
   bool update_session_ = false;
-  uint16_t prev_fetch_pc_ = 0;
-  bool prev_fetch_valid_ = false;
 };
 
 }  // namespace eilid::casu

@@ -68,6 +68,8 @@ class CfaMonitor : public sim::Monitor {
   // to_pc != fallthrough under every engine, so the logged edge stream
   // and the MACs over it are bit-identical across engines.
   bool wants_step() const override { return false; }
+  // Polices no page and no fetch: the bus never calls it per access.
+  sim::WatchPages watched_pages() const override { return {}; }
   void on_control_transfer(uint16_t from_pc, uint16_t to_pc,
                            uint16_t fallthrough) override;
   void on_interrupt(int vector_index, uint16_t from_pc, uint16_t to_pc) override;

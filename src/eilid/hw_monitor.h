@@ -21,6 +21,14 @@ class EilidHwMonitor : public casu::CasuMonitor {
   explicit EilidHwMonitor(EilidHwConfig config = {})
       : casu::CasuMonitor(config.casu), config_(config) {}
 
+  // CASU's pages plus the secure-RAM pages, for reads and writes.
+  sim::WatchPages watched_pages() const override {
+    sim::WatchPages pages = casu::CasuMonitor::watched_pages();
+    pages.add_reads(config_.secure_ram_start, config_.secure_ram_end);
+    pages.add_writes(config_.secure_ram_start, config_.secure_ram_end);
+    return pages;
+  }
+
   bool on_read(uint16_t addr, uint16_t pc) override {
     if (in_secure_ram(addr) && !in_rom(pc)) {
       return violate(sim::ResetReason::kSecureRamAccessViolation);

@@ -61,12 +61,14 @@ std::string_view enforcement_policy_name(EnforcementPolicy policy);
 //   kSuperblock   -- dispatch from the build's shared code table
 //     (isa::DecodedImage): block-granular where it can -- one
 //     bounds/generation check and one batched cycle/tick account per
-//     straight-line run, with interrupt delivery re-checked at block
-//     boundaries (a mid-block IRQ horizon refuses the block, so
-//     delivery still lands at the architecturally correct instruction)
-//     -- and one table entry per step wherever block dispatch stands
-//     down: a wants_step() monitor is attached, an interrupt is due,
-//     the CPU is off, or a violation is pending.
+//     straight-line run, runs chained back to back under every policy
+//     (monitors police through page-declared bus hooks and receive each
+//     chained edge before the next fetch), with interrupt delivery
+//     re-checked at block boundaries (a mid-block IRQ horizon refuses
+//     the block, so delivery still lands at the architecturally
+//     correct instruction) -- and one table entry per step wherever
+//     block dispatch stands down: a wants_step() monitor is attached,
+//     an interrupt is due, the CPU is off, or a violation is pending.
 // Any store at or above the code floor invalidates the shared table
 // (Bus::code_generation) and drops the device to interpretive decode
 // until a fresh table is attached -- the self-modifying-code rule that

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/error.h"
 
@@ -27,8 +28,38 @@ void Bus::add_peripheral(Peripheral* peripheral) {
   horizon_dirty_ = true;
 }
 
+void Bus::add_watcher(BusWatcher* watcher) {
+  const WatchPages declared = watcher->watched_pages();
+  if (declared.reads.any()) read_watchers_.push_back(watcher);
+  if (declared.writes.any()) write_watchers_.push_back(watcher);
+  // A page's new combined fetch region is the pair (old combined
+  // region, the watcher's region), numbered from 1; a zero on either
+  // side, or running out of numbers, reports every fetch there.
+  std::vector<std::pair<uint8_t, uint8_t>> regions;
+  for (size_t page = 0; page < 256; ++page) {
+    uint8_t flags = pages_[page] & (kReadWatched | kWriteWatched);
+    if (declared.reads[page]) flags |= kReadWatched;
+    if (declared.writes[page]) flags |= kWriteWatched;
+    uint8_t region = pages_[page] >> kRegionShift;
+    if (declared.fetches) {
+      const std::pair<uint8_t, uint8_t> key{region,
+                                            declared.fetch_regions[page]};
+      region = 0;
+      if (key.first != 0 && key.second != 0) {
+        auto it = std::find(regions.begin(), regions.end(), key);
+        if (it == regions.end()) it = regions.insert(regions.end(), key);
+        const size_t id = static_cast<size_t>(it - regions.begin()) + 1;
+        if (id < kNoPredecessor) region = static_cast<uint8_t>(id);
+      }
+    }
+    pages_[page] = static_cast<uint8_t>(flags | (region << kRegionShift));
+  }
+  if (declared.fetches) fetch_watchers_.push_back(watcher);
+  forget_last_fetch();  // the new watcher has seen no fetch yet
+}
+
 bool Bus::check_read(uint16_t addr, uint16_t pc) {
-  for (auto* w : watchers_) {
+  for (BusWatcher* w : read_watchers_) {
     if (!w->on_read(addr, pc)) {
       access_denied_ = true;
       return false;
@@ -38,7 +69,7 @@ bool Bus::check_read(uint16_t addr, uint16_t pc) {
 }
 
 bool Bus::check_write(uint16_t addr, uint16_t value, bool byte, uint16_t pc) {
-  for (auto* w : watchers_) {
+  for (BusWatcher* w : write_watchers_) {
     if (!w->on_write(addr, value, byte, pc)) {
       access_denied_ = true;
       return false;
@@ -47,9 +78,9 @@ bool Bus::check_write(uint16_t addr, uint16_t value, bool byte, uint16_t pc) {
   return true;
 }
 
-bool Bus::notify_fetch_slow(uint16_t pc) {
-  for (auto* w : watchers_) {
-    if (!w->on_fetch(pc)) {
+bool Bus::notify_fetch_slow(uint16_t pc, std::optional<uint16_t> prev_pc) {
+  for (BusWatcher* w : fetch_watchers_) {
+    if (!w->on_fetch(pc, prev_pc)) {
       access_denied_ = true;
       return false;
     }

@@ -2,23 +2,42 @@
 // peripherals and *veto-capable* watchers.
 //
 // Watchers model bus-snooping hardware (CASU / EILID monitors). They
-// see every CPU access before it commits and may deny it; a denied
-// write never lands (this is how CASU guarantees PMEM immutability --
-// the violating store is suppressed and the device resets).
+// see the CPU accesses they police before those commit and may deny
+// them; a denied write never lands (this is how CASU guarantees PMEM
+// immutability -- the violating store is suppressed and the device
+// resets).
 //
-// Hot-path layout: the common case (no watchers, plain memory access)
-// is fully inlined; watcher checks and peripheral dispatch are the
-// out-of-line slow path. Peripheral dispatch is an O(1) per-address
-// table rather than a linear range scan, and pending_irq() is cached
-// and recomputed only when something that can change an interrupt line
-// actually happened (a tick that moved irq state, an ack, a peripheral
-// register access, a reset).
+// Page-granular policing: each watcher declares once, when it is
+// attached, which 256-byte pages it polices for reads and for writes
+// and whether it watches instruction fetches (BusWatcher::
+// watched_pages). The bus folds the declarations into one read mask,
+// one write mask and one fetch-watcher list, so an access to a page no
+// watcher polices costs one byte load and no call, and a watcher is
+// only ever called for the pages it declared. Fetch watchers may also
+// declare fetch regions: a fetch whose predecessor lies on a page of
+// the same region is not reported, so a monitor whose fetch rules are
+// about leaving one executable region for another is called only when
+// execution crosses regions. The default declaration is every page
+// plus every fetch, so tracers and attack engines still see every
+// access; CASU-derived monitors declare the handful of pages their
+// rules name plus the ROM and PMEM as fetch regions, and a
+// transfer-only monitor (CFA) declares nothing.
+//
+// Hot-path layout: the common case (an unpoliced page, plain memory
+// access) is fully inlined; watcher checks and peripheral dispatch are
+// the out-of-line slow path. Peripheral dispatch is an O(1)
+// per-address table rather than a linear range scan, and pending_irq()
+// is cached and recomputed only when something that can change an
+// interrupt line actually happened (a tick that moved irq state, an
+// ack, a peripheral register access, a reset).
 #ifndef EILID_SIM_BUS_H
 #define EILID_SIM_BUS_H
 
 #include <array>
+#include <bitset>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -66,15 +85,70 @@ class Peripheral {
   virtual uint16_t last_addr() const = 0;
 };
 
+// The 256-byte pages (addr >> 8) a watcher polices, per access kind.
+// Soundness contract: a watcher must allow -- return true and latch
+// nothing -- every read or write on a page it does not declare. The bus
+// skips such an access when no watcher polices the page; when another
+// watcher does, every watcher of that access kind is asked.
+struct WatchPages {
+  std::bitset<256> reads;
+  std::bitset<256> writes;
+  // Whether the watcher is called on instruction fetches at all.
+  bool fetches = false;
+  // Where fetch calls may be skipped. A fetch whose predecessor (the
+  // previous fetch since the last CPU reset or watcher attach) lies on
+  // a page of the same nonzero region as its own page is not reported;
+  // the watcher must allow every such fetch and keep no state for it
+  // (the next reported fetch carries the true predecessor). Region 0,
+  // the default everywhere, reports every fetch on that page.
+  std::array<uint8_t, 256> fetch_regions{};
+
+  // Every page plus every fetch (the BusWatcher default).
+  static WatchPages all() {
+    WatchPages pages;
+    pages.reads.set();
+    pages.writes.set();
+    pages.fetches = true;
+    return pages;
+  }
+  // Add the pages covering [first, last] (nothing when first > last).
+  void add_reads(uint16_t first, uint16_t last) { add(reads, first, last); }
+  void add_writes(uint16_t first, uint16_t last) { add(writes, first, last); }
+  // Put the pages lying wholly inside [first, last] in fetch `region`
+  // (a partly covered page keeps its region).
+  void set_fetch_region(uint16_t first, uint16_t last, uint8_t region) {
+    for (unsigned page = 0; page < 256; ++page) {
+      if (page * 256u >= first && page * 256u + 255u <= last) {
+        fetch_regions[page] = region;
+      }
+    }
+  }
+
+ private:
+  static void add(std::bitset<256>& set, uint16_t first, uint16_t last) {
+    for (unsigned page = first >> 8u; first <= last && page <= (last >> 8u);
+         ++page) {
+      set.set(page);
+    }
+  }
+};
+
 // Bus-snooping hardware monitor. Return false from an on_* hook to
 // deny the access; record the violation reason internally (the machine
-// queries the monitor afterwards).
+// queries the monitor afterwards). Hooks fire only for what
+// watched_pages() declares.
 class BusWatcher {
  public:
   virtual ~BusWatcher() = default;
-  // Instruction fetch beginning at pc (fires once per instruction).
-  virtual bool on_fetch(uint16_t pc) {
+  // Declared once, by Bus::add_watcher; the answer must not change
+  // afterwards. Default: every page plus every fetch.
+  virtual WatchPages watched_pages() const { return WatchPages::all(); }
+  // Instruction fetch beginning at pc. `prev_pc` is the fetch before
+  // it, or nullopt for the first fetch after a CPU reset or after this
+  // watcher was attached.
+  virtual bool on_fetch(uint16_t pc, std::optional<uint16_t> prev_pc) {
     (void)pc;
+    (void)prev_pc;
     return true;
   }
   virtual bool on_read(uint16_t addr, uint16_t pc) {
@@ -97,22 +171,28 @@ class Bus {
 
   // --- CPU-visible accesses (watched, peripheral-aware). ---
   // `pc` attributes the access to the currently executing instruction.
-  // Denied reads return 0xFFFF; denied writes are dropped. Either sets
-  // access_denied() until cleared.
+  // Only watchers that declared the page are asked. Denied reads return
+  // 0xFFFF; denied writes are dropped. Either sets access_denied()
+  // until cleared.
   uint16_t read_word(uint16_t addr, uint16_t pc) {
     addr &= 0xFFFE;  // word accesses are even-aligned (LSB ignored, as in hw)
-    if (!watchers_.empty() && !check_read(addr, pc)) return 0xFFFF;
+    if ((pages_[addr >> 8] & kReadWatched) && !check_read(addr, pc)) {
+      return 0xFFFF;
+    }
     if (is_periph(addr)) return periph_read_word(addr);
     return raw_word(addr);
   }
   uint8_t read_byte(uint16_t addr, uint16_t pc) {
-    if (!watchers_.empty() && !check_read(addr, pc)) return 0xFF;
+    if ((pages_[addr >> 8] & kReadWatched) && !check_read(addr, pc)) {
+      return 0xFF;
+    }
     if (is_periph(addr)) return periph_read_byte(addr);
     return mem_.read(addr);
   }
   void write_word(uint16_t addr, uint16_t value, uint16_t pc) {
     addr &= 0xFFFE;
-    if (!watchers_.empty() && !check_write(addr, value, /*byte=*/false, pc)) {
+    if ((pages_[addr >> 8] & kWriteWatched) &&
+        !check_write(addr, value, /*byte=*/false, pc)) {
       return;
     }
     if (is_periph(addr)) {
@@ -123,7 +203,8 @@ class Bus {
     mem_.write_word(addr, value);
   }
   void write_byte(uint16_t addr, uint8_t value, uint16_t pc) {
-    if (!watchers_.empty() && !check_write(addr, value, /*byte=*/true, pc)) {
+    if ((pages_[addr >> 8] & kWriteWatched) &&
+        !check_write(addr, value, /*byte=*/true, pc)) {
       return;
     }
     if (is_periph(addr)) {
@@ -134,10 +215,24 @@ class Bus {
     mem_.write(addr, value);
   }
 
-  // Instruction-fetch notification; false if a watcher denied it.
+  // Instruction-fetch notification to the watchers that declared
+  // fetches; false if one denied it. Skipped (one byte load, no call)
+  // when this fetch and its predecessor share a fetch region of every
+  // fetch watcher -- always, when there is none.
   bool notify_fetch(uint16_t pc) {
-    return watchers_.empty() || notify_fetch_slow(pc);
+    const uint8_t region = pages_[pc >> 8] >> kRegionShift;
+    const uint8_t prev_region = last_region_;
+    const uint16_t prev = last_fetch_;
+    last_fetch_ = pc;
+    last_region_ = region;
+    if (region != 0 && region == prev_region) return true;
+    return notify_fetch_slow(pc, prev_region == kNoPredecessor
+                                     ? std::nullopt
+                                     : std::optional<uint16_t>(prev));
   }
+  // The CPU restarted from its reset vector: the next fetch has no
+  // predecessor (Cpu::power_on_reset calls this).
+  void forget_last_fetch() { last_region_ = kNoPredecessor; }
 
   bool access_denied() const { return access_denied_; }
   void clear_access_denied() { access_denied_ = false; }
@@ -176,8 +271,15 @@ class Bus {
   uint64_t code_generation() const { return code_generation_; }
 
   // --- Wiring. ---
-  void add_watcher(BusWatcher* watcher) { watchers_.push_back(watcher); }
-  bool has_watchers() const { return !watchers_.empty(); }
+  // Attach a watcher: reads its watched_pages() once and folds them
+  // into the bus's masks. Order of attachment = order of checks.
+  void add_watcher(BusWatcher* watcher);
+  // True when some attached watcher can be asked about (and deny) an
+  // access or a fetch.
+  bool has_watchers() const {
+    return !read_watchers_.empty() || !write_watchers_.empty() ||
+           !fetch_watchers_.empty();
+  }
   void add_peripheral(Peripheral* peripheral);
   void tick_peripherals(uint64_t cycles) {
     bool irq_moved = false;
@@ -294,7 +396,7 @@ class Bus {
   }
   bool check_read(uint16_t addr, uint16_t pc);
   bool check_write(uint16_t addr, uint16_t value, bool byte, uint16_t pc);
-  bool notify_fetch_slow(uint16_t pc);
+  bool notify_fetch_slow(uint16_t pc, std::optional<uint16_t> prev_pc);
   uint16_t periph_read_word(uint16_t addr);
   uint8_t periph_read_byte(uint16_t addr);
   void periph_write(uint16_t addr, uint16_t value);
@@ -307,7 +409,28 @@ class Bus {
   }
 
   PagedMemory mem_;
-  std::vector<BusWatcher*> watchers_;
+  std::vector<BusWatcher*> read_watchers_;   // declared some read page
+  std::vector<BusWatcher*> write_watchers_;  // declared some write page
+  std::vector<BusWatcher*> fetch_watchers_;
+  // One byte per page: whether some watcher polices reads / writes
+  // there, and the page's combined fetch region (two pages share one
+  // iff every fetch watcher puts both in the same nonzero region of
+  // its own; 0 reports every fetch there). kNoPredecessor is the
+  // region of "no fetch yet" and matches no page.
+  static constexpr uint8_t kReadWatched = 1;
+  static constexpr uint8_t kWriteWatched = 2;
+  static constexpr unsigned kRegionShift = 2;
+  static constexpr uint8_t kNoPredecessor = 0xFF >> kRegionShift;
+  std::array<uint8_t, 256> pages_ = no_fetch_watcher_pages();
+  uint16_t last_fetch_ = 0;
+  uint8_t last_region_ = kNoPredecessor;
+
+  // No fetch watcher: one region, so every fetch pair is quiet.
+  static std::array<uint8_t, 256> no_fetch_watcher_pages() {
+    std::array<uint8_t, 256> pages;
+    pages.fill(1 << kRegionShift);
+    return pages;
+  }
   std::vector<Peripheral*> peripherals_;
   std::array<Peripheral*, kPeriphEnd + 1> periph_map_{};
   bool access_denied_ = false;

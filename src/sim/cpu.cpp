@@ -11,6 +11,7 @@ namespace sr = isa::sr;
 
 void Cpu::power_on_reset() {
   regs_.fill(0);
+  bus_.forget_last_fetch();
   regs_[isa::kPC] = bus_.raw_word(kResetVectorAddr);
 }
 
@@ -392,7 +393,7 @@ StepOutcome Cpu::step() {
 }
 
 BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
-                        bool chain) {
+                        TransferSink transfers) {
   BlockRun out;
   // One validity check for the whole run, where step() pays one per
   // instruction.
@@ -414,10 +415,9 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
 
   out.executed = true;
   ++blocks_executed_;
+  // Watchers attach only from host code between runs, so one read
+  // covers the run: an unwatched bus can deny nothing.
   const bool watched = bus_.has_watchers();
-  // Watchers need their denial handled block-by-block, and any monitor
-  // needing a transfer callout already cleared `chain` in the machine.
-  chain = chain && !watched;
   bus_.clear_access_denied();
   bus_.clear_periph_touched();
   const uint64_t generation = bus_.code_generation();
@@ -466,12 +466,13 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
       break;
     }
     if (--remaining == 0) {
-      // Terminator retired; PC is wherever it put it. Without chaining
-      // the machine takes over (monitor callout, IRQ dispatch). With it
-      // we re-dispatch here, after the same checks a fresh dispatch
-      // would make -- reti/SR-restoring terminators may have flipped
-      // GIE or CPUOFF, so both are re-read from the live SR.
-      if (!chain) break;
+      // Terminator retired; PC is wherever it put it. Re-dispatch here
+      // after the same checks a fresh dispatch would make --
+      // reti/SR-restoring terminators may have flipped GIE or CPUOFF,
+      // so both are re-read from the live SR. The pending-line test
+      // catches a line that was already asserted while GIE was clear
+      // (the horizon only covers lines ticking could assert next);
+      // with no flush inside a run the cached state is exact.
       if (bus_.code_generation() != generation) break;
       if (bus_.periph_touched()) break;
       if (spent >= cycle_budget) break;
@@ -480,10 +481,12 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
       if (cpu_off()) break;
       entry = image_->lookup(pc);
       if (entry == nullptr || entry->span == 0) break;
-      if (gie() &&
-          bus_.cycles_until_irq() <= entry->block_cycles + bus_.tick_debt()) {
+      if (gie() && (bus_.pending_irq() >= 0 ||
+                    bus_.cycles_until_irq() <=
+                        entry->block_cycles + bus_.tick_debt())) {
         break;
       }
+      if (pc != last_next) transfers.deliver(last_pc, pc, last_next);
       ++blocks_executed_;
       remaining = entry->span;
       continue;

@@ -16,6 +16,7 @@
 #include "isa/decoder.h"
 #include "isa/registers.h"
 #include "sim/bus.h"
+#include "sim/monitor.h"
 
 namespace eilid::sim {
 
@@ -38,9 +39,9 @@ struct StepOutcome {
 // Result of one superblock dispatch (Cpu::run_block).
 struct BlockRun {
   // False when the fast path was unavailable (no valid code table entry
-  // at the current PC, an IRQ could assert or deliver mid-block, a
-  // violation already latched): nothing executed, the caller must take
-  // the per-instruction path. All other fields are meaningless.
+  // at the current PC, an IRQ could assert within the first block):
+  // nothing executed, the caller must take the per-instruction path.
+  // All other fields are meaningless.
   bool executed = false;
   StepStatus status = StepStatus::kOk;
   uint64_t cycles = 0;  // total cycles retired by the run
@@ -59,27 +60,36 @@ class Cpu {
   // Execute a single instruction.
   StepOutcome step();
 
-  // Execute one straight-line run (superblock) starting at the current
-  // PC: one table lookup and one generation/IRQ-budget check up front,
-  // then a tight retire loop with batched cycle accounting (cycles are
-  // accrued to the bus's tick debt and flushed at block exit, so any
-  // mid-block peripheral register access still observes exact time).
-  // The run ends early -- always at an instruction boundary, and every
-  // PC is itself a valid block entry, so nothing is lost -- when:
+  // Execute a chain of straight-line runs (superblocks) starting at the
+  // current PC: one table lookup and one generation/IRQ-budget check
+  // per block, then a tight retire loop with batched cycle accounting
+  // (cycles are accrued to the bus's tick debt and flushed at
+  // observation points, so any mid-block peripheral register access
+  // still observes exact time). After each terminator retires the run
+  // re-dispatches from wherever PC landed, under the same refusal
+  // checks a fresh dispatch makes; it ends -- always at an instruction
+  // boundary, and every PC is itself a valid block entry, so nothing
+  // is lost -- when:
   //   - the next instruction sits at `breakpoint_pc` (host breakpoint),
   //   - retired cycles reach `cycle_budget` (run() budget exhaustion),
   //   - a store invalidated the code generation (self-modifying code:
   //     the very next instruction must re-decode from memory),
   //   - a peripheral register was touched (interrupt state may have
   //     changed instantly),
-  //   - a watcher denied an access (status kDenied, device will reset).
-  // With `chain` set (the machine passes it when no monitor needs a
-  //  per-transfer callout) and no bus watchers attached, the run keeps
-  //  going across block boundaries: after a terminator retires it
-  //  re-dispatches from wherever PC landed, re-checking the same
-  //  refusal conditions (generation, peripheral touch, CPUOFF, IRQ
-  //  horizon, breakpoint, budget) that gate a fresh dispatch.
-  BlockRun run_block(uint16_t breakpoint_pc, uint64_t cycle_budget, bool chain);
+  //   - a watcher denied a fetch or an access (status kDenied, the
+  //     device will reset),
+  //   and, between blocks only:
+  //   - the CPU went off (CPUOFF), or the next PC has no block in the
+  //     table (outside its ranges, or undecodable),
+  //   - GIE is set and an interrupt line is pending, or a tick-driven
+  //     source could assert one within the next block (IRQ horizon).
+  // Every chained terminator whose target differs from its
+  // fall-through delivers its edge through `transfers` before the next
+  // fetch. The final instruction's edge is not delivered here: the
+  // caller reports it from last_pc / last_next, as it does for a
+  // single step.
+  BlockRun run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
+                     TransferSink transfers);
 
   uint64_t blocks_executed() const { return blocks_executed_; }
 

@@ -143,10 +143,11 @@ void Machine::notify_retire(uint16_t from_pc, uint16_t to_pc,
   if (to_pc != fallthrough) {
     // Non-sequential transfer (or a faulted fetch, where to == from !=
     // fallthrough). Fires under every engine: interior instructions of
-    // a superblock are sequential by construction, so only its final
-    // instruction can reach here -- the same edges per-step execution
-    // reports.
-    for (auto* m : monitors_) m->on_control_transfer(from_pc, to_pc, fallthrough);
+    // a superblock are sequential by construction, so only a block's
+    // final instruction can reach here -- the same edges per-step
+    // execution reports. Edges of terminators a block run chained past
+    // went through the same sink inside Cpu::run_block.
+    transfer_sink().deliver(from_pc, to_pc, fallthrough);
   }
 }
 
@@ -166,13 +167,11 @@ bool Machine::try_run_block(uint16_t breakpoint_pc, uint64_t cycle_budget) {
   // Violations latched outside stepping (update-engine auth failures /
   // rollback) reset after exactly one more instruction interpretively;
   // keep that timing.
-  if (!monitors_.empty() && first_pending_violation()) return false;
+  if (first_pending_violation()) return false;
 
-  // With no monitors attached at all there is nobody to notify per
-  // control transfer, so the CPU may chain blocks internally and only
-  // surface at observation points.
-  BlockRun run = cpu_.run_block(breakpoint_pc, cycle_budget, monitors_.empty());
+  BlockRun run = cpu_.run_block(breakpoint_pc, cycle_budget, transfer_sink());
   if (!run.executed) return false;
+  ++block_dispatches_;
   reset_this_step_ = false;
   cycles_ += run.cycles;
   if (run.steps > 0 || run.status == StepStatus::kDenied) {

@@ -1,6 +1,17 @@
 // The simulated device: CPU + bus + peripherals + attached hardware
 // monitors, with the reset behaviour CASU/EILID rely on (violation ->
 // wipe volatile state -> restart from the reset vector).
+//
+// Dispatch: each iteration of the run loop either hands the CPU a
+// chained block run (Cpu::run_block) or steps one instruction. Block
+// runs chain with monitors attached: enforcement lives in the bus
+// hooks (a denial ends the run at once) and the edges of chained
+// terminators reach the monitors through the one TransferSink, so the
+// loop only comes back here at observation points -- an interrupt
+// horizon, a peripheral access, a denial, the budget, a breakpoint.
+// Only a wants_step() monitor, a pending deliverable (or deferred)
+// interrupt, CPUOFF or an already-latched violation sends an iteration
+// down the per-instruction path.
 #ifndef EILID_SIM_MACHINE_H
 #define EILID_SIM_MACHINE_H
 
@@ -55,7 +66,7 @@ class Machine {
   // Attach the build's code table matching the bytes currently flashed
   // (call after every load). Shared fleet-wide: all devices flashed
   // from one build point at one immutable table. The run loop then
-  // dispatches whole straight-line runs per iteration whenever no
+  // dispatches chained straight-line runs per iteration whenever no
   // attached monitor wants per-step callouts and no interrupt could
   // become deliverable mid-run, and steps one table entry at a time
   // otherwise. Invalidation: any store at or above the code floor (see
@@ -89,21 +100,26 @@ class Machine {
   // telemetry; the differential tests assert this is nonzero under the
   // superblock engine and zero under the interpretive one).
   uint64_t blocks_executed() const { return cpu_.blocks_executed(); }
+  // How many of those dispatches were machine-loop iterations (block
+  // runs handed to the CPU); the rest were chained inside a run.
+  // Deterministic: same program, same inputs, same count.
+  uint64_t block_dispatches() const { return block_dispatches_; }
 
  private:
   // Steps one instruction or services one interrupt; returns false when
   // the device is idle (CPU off, nothing pending).
   bool step_once();
-  // Attempts one superblock dispatch at the current PC. Returns false
+  // Attempts one (chained) block run at the current PC. Returns false
   // (nothing happened; caller must step_once) when block dispatch is
   // unavailable: no valid code table, a monitor wants per-step
-  // callouts, an interrupt is pending and deliverable, the CPU is off,
-  // or a violation latched outside stepping (update-engine paths).
+  // callouts, an interrupt is pending, the CPU is off, or a violation
+  // latched outside stepping (update-engine paths).
   bool try_run_block(uint16_t breakpoint_pc, uint64_t cycle_budget);
   // Retire notification shared by both execution paths: per-step
   // callouts go only to monitors that want them; the control-transfer
   // callout fires for every monitor whenever to_pc != fallthrough.
   void notify_retire(uint16_t from_pc, uint16_t to_pc, uint16_t fallthrough);
+  TransferSink transfer_sink() const { return TransferSink(monitors_); }
   void do_reset(ResetReason reason, uint16_t pc);
   bool interrupts_allowed(uint16_t pc) const;
   std::optional<ResetReason> first_pending_violation() const;
@@ -122,6 +138,7 @@ class Machine {
   std::vector<Monitor*> step_monitors_;  // subset with wants_step()
   std::vector<ResetEvent> resets_;
   uint64_t cycles_ = 0;
+  uint64_t block_dispatches_ = 0;
   bool halt_on_reset_ = false;
   bool reset_this_step_ = false;
 };

@@ -2,16 +2,25 @@
 // plus PC-transition and interrupt visibility. CASU and EILID hardware
 // are implemented against this interface; so is the test tracer.
 //
+// Bus snooping is page-granular: a monitor declares at attach which
+// pages it polices (BusWatcher::watched_pages) and is called only for
+// those. Enforcement monitors declare the few pages their rules name;
+// the default is every page plus fetch.
+//
 // Two granularities of PC visibility exist since the superblock core:
 //
 //   - on_control_transfer: fired for every *non-sequential* transfer
 //     (to_pc != fallthrough), at instruction granularity, under every
-//     execution engine. This is the notification integrity evidence is
-//     built from (CfaMonitor consumes nothing else -- LO-FAT-style
-//     monitors only ever observe transfers), and the block core emits
-//     it bit-identically: a straight-line run's interior instructions
-//     are all sequential by construction, so only its terminator can
-//     transfer.
+//     execution engine, through one path (TransferSink). This is the
+//     notification integrity evidence is built from (CfaMonitor
+//     consumes nothing else -- LO-FAT-style monitors only ever observe
+//     transfers), and the block core emits it bit-identically: a
+//     straight-line run's interior instructions are all sequential by
+//     construction, so only its terminator can transfer, and a chained
+//     block run (Cpu::run_block) delivers each terminator's edge before
+//     it fetches the next block. Transfer callouts observe; they do not
+//     veto: a monitor latches a violation only by denying a bus access
+//     (which ends any block run at once) or from host code between runs.
 //   - on_step: fired after *every* retired instruction, but only for
 //     monitors that declare wants_step(). Any such monitor (the test
 //     tracers) forces the machine onto the per-instruction path --
@@ -23,6 +32,7 @@
 #define EILID_SIM_MONITOR_H
 
 #include <optional>
+#include <span>
 
 #include "sim/bus.h"
 #include "sim/reset.h"
@@ -75,13 +85,32 @@ class Monitor : public BusWatcher {
 
   // Fired for every non-sequential transfer (to_pc != fallthrough),
   // under every engine, for every monitor. Same arguments as on_step;
-  // sequential steps are never reported here.
+  // sequential steps are never reported here. Must not latch a
+  // violation (see the header comment).
   virtual void on_control_transfer(uint16_t from_pc, uint16_t to_pc,
                                    uint16_t fallthrough) {
     (void)from_pc;
     (void)to_pc;
     (void)fallthrough;
   }
+};
+
+// The one path control transfers take to a machine's monitors: the
+// machine's retire notification and the chained block loop both
+// deliver through it, so every engine hands every monitor the same
+// edges in the same order. A view; the machine owns the monitor list.
+class TransferSink {
+ public:
+  explicit TransferSink(std::span<Monitor* const> monitors)
+      : monitors_(monitors) {}
+  void deliver(uint16_t from_pc, uint16_t to_pc, uint16_t fallthrough) const {
+    for (Monitor* m : monitors_) {
+      m->on_control_transfer(from_pc, to_pc, fallthrough);
+    }
+  }
+
+ private:
+  std::span<Monitor* const> monitors_;
 };
 
 }  // namespace eilid::sim

@@ -5,17 +5,25 @@
 // block dispatch -- and demands bit-identical final machine state
 // (registers, cycles, retired instructions, reset log and any RAM the
 // program wrote) -- plus proof the block run actually dispatched
-// blocks, so the equality is not vacuous. The cases target the block
-// engine's hard edges: a store into the currently executing block, an
-// interrupt landing mid-block, the decode boundary at the top of
-// memory, an indirect branch into the middle of another entry's run,
-// and fleet-wide sharing of one immutable code table per build. One
-// invariant pins the table itself: every slot's block fields equal a
-// naive forward walk over the decoded entries.
+// blocks, so the equality is not vacuous. Each program runs under all
+// four enforcement policies: block runs chain with monitors attached,
+// so the CASU / EILID bus hooks and the CFA transfer log must see the
+// same accesses, denials and edges whether a block was chained or
+// dispatched alone. The cases target the block engine's hard edges: a
+// store into the currently executing block, an interrupt landing
+// mid-block, the decode boundary at the top of memory, an indirect
+// branch into the middle of another entry's run, a chain ended by a
+// watcher (denied PMEM store, off-gate ROM entry, a violation report
+// from EILIDsw), interrupts held back by ROM atomicity or by a clear
+// GIE, and fleet-wide sharing of one immutable code table per build.
+// One invariant pins the table itself: every slot's block fields equal
+// a naive forward walk over the decoded entries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -24,9 +32,12 @@
 #include "apps/apps.h"
 #include "cfa/attestation.h"
 #include "eilid/fleet.h"
+#include "eilid/config.h"
 #include "eilid/pipeline.h"
+#include "eilid/rom_builder.h"
 #include "isa/decoded_image.h"
 #include "isa/encoder.h"
+#include "masm/assembler.h"
 #include "sim/memory_map.h"
 #include "sim/monitor.h"
 
@@ -89,36 +100,128 @@ std::shared_ptr<const core::BuildResult> build_of(const char* source) {
       core::build_app(source, "superblock-case", {.eilid = false}));
 }
 
-// The CFA half of every differential: run the program under
-// kCfaBaseline (CASU + logging monitor -- wants_step() false, so block
-// dispatch stays engaged and on_control_transfer carries the log) on
-// each variant and demand the attestation evidence is bit-identical:
-// same edges in the same order, same drop count, same MAC. A block
-// engine that reported transfers at wrong boundaries, merged edges or
-// skipped the denied store would forge different evidence.
-void expect_cfa_identical(std::shared_ptr<const core::BuildResult> build,
-                          const char* tag, uint64_t budget) {
-  std::vector<cfa::Report> reports;
-  std::vector<FinalState> states;
+// The same program, unmodified, flashed next to the EILIDsw ROM: the
+// CASU monitor then enforces the ROM entry and leave sections, and
+// kEilidHw accepts the build. `.equ` lines for the ROM's veneers and
+// two of its body labels are prepended, so a program can call the
+// stubs directly or jump off-gate.
+std::shared_ptr<const core::BuildResult> build_with_rom(const char* source) {
+  core::RomInfo rom = core::build_rom();
+  std::string src;
+  for (const char* name : core::kVeneerNames) {
+    src += ".equ " + std::string(name) + ", " +
+           std::to_string(rom.unit.symbols.at(name)) + "\n";
+  }
+  for (const char* name : {"S_EILID_store_ra", "S_EILID_check_ra"}) {
+    src += ".equ " + std::string(name) + ", " +
+           std::to_string(rom.unit.symbols.at(name)) + "\n";
+  }
+  auto build = std::make_shared<core::BuildResult>();
+  build->rom = std::move(rom);
+  build->app = masm::assemble_text(src + source, "superblock-rom-case");
+  core::attach_tables(*build);
+  return build;
+}
+
+// How a case drives each device: the budget, an optional breakpoint
+// symbol, UART bytes fed before the run, and the RAM window compared.
+struct RunSpec {
+  uint64_t budget = 10000;
+  const char* until = nullptr;  // null: run the whole budget
+  std::string uart;
+  uint16_t ram_from = 0;
+  size_t ram_words = 0;
+};
+
+struct Outcome {
+  FinalState state;
+  uint64_t blocks = 0;
+  uint64_t dispatches = 0;
+  std::optional<cfa::Report> report;  // kCfaBaseline only
+};
+
+// Runs `build` under `policy` on every variant (halting at the first
+// enforcement reset) and returns each variant's outcome, in kVariants
+// order.
+std::vector<Outcome> run_variants(std::shared_ptr<const core::BuildResult> build,
+                                  EnforcementPolicy policy,
+                                  const std::string& tag, const RunSpec& spec) {
+  std::vector<Outcome> out;
   for (const Variant& v : kVariants) {
     sim::Monitor step_pin;
-    DeviceSession dev(std::string(tag) + "-cfa-" + v.name(), build,
-                      EnforcementPolicy::kCfaBaseline, {.engine = v.engine});
+    DeviceSession dev(
+        tag + "-" + std::string(enforcement_policy_name(policy)) + "-" +
+            v.name(),
+        build, policy, {.halt_on_reset = true, .engine = v.engine});
     if (v.per_step) dev.machine().add_monitor(&step_pin);
-    dev.machine().set_halt_on_reset(true);
-    dev.machine().run(budget);
-    states.push_back(capture(dev.machine()));
-    reports.push_back(
-        dev.cfa_monitor()->take_report(0xA5A5, dev.machine().cycles()));
+    if (!spec.uart.empty()) dev.machine().uart().feed(spec.uart);
+    if (spec.until != nullptr) {
+      dev.run_to_symbol(spec.until, spec.budget);
+    } else {
+      dev.machine().run(spec.budget);
+    }
+    Outcome o;
+    o.state = capture(dev.machine(), spec.ram_from, spec.ram_words);
+    o.blocks = dev.machine().blocks_executed();
+    o.dispatches = dev.machine().block_dispatches();
+    if (dev.cfa_monitor() != nullptr) {
+      o.report =
+          dev.cfa_monitor()->take_report(0xA5A5, dev.machine().cycles());
+    }
+    out.push_back(std::move(o));
   }
-  EXPECT_EQ(states[1], states[0]) << tag;
-  EXPECT_EQ(states[2], states[0]) << tag;
-  EXPECT_FALSE(reports[0].edges.empty()) << tag;
-  for (size_t i = 1; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[i].edges, reports[0].edges) << tag;
-    EXPECT_EQ(reports[i].dropped, reports[0].dropped) << tag;
-    EXPECT_EQ(reports[i].cycle, reports[0].cycle) << tag;
-    EXPECT_EQ(reports[i].mac, reports[0].mac) << tag;
+  return out;
+}
+
+// Every variant agrees with the interpretive run on the final state
+// and, under kCfaBaseline, on the attestation evidence: same edges in
+// the same order, same drop count, same MAC. A block engine that
+// reported transfers at wrong boundaries, merged edges or skipped the
+// denied store would forge different evidence. Only the block variant
+// may dispatch blocks, and it must.
+void expect_identical(const std::vector<Outcome>& runs, const std::string& tag) {
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const std::string where = tag + " " + kVariants[i].name();
+    if (kVariants[i].dispatches_blocks()) {
+      EXPECT_GT(runs[i].blocks, 0u) << where;
+      EXPECT_GT(runs[i].dispatches, 0u) << where;
+    } else {
+      EXPECT_EQ(runs[i].blocks, 0u) << where;
+    }
+    if (i == 0) continue;
+    EXPECT_EQ(runs[i].state, runs[0].state) << where;
+    ASSERT_EQ(runs[i].report.has_value(), runs[0].report.has_value()) << where;
+    if (!runs[0].report) continue;
+    EXPECT_FALSE(runs[0].report->edges.empty()) << tag;
+    EXPECT_EQ(runs[i].report->edges, runs[0].report->edges) << where;
+    EXPECT_EQ(runs[i].report->dropped, runs[0].report->dropped) << where;
+    EXPECT_EQ(runs[i].report->cycle, runs[0].report->cycle) << where;
+    EXPECT_EQ(runs[i].report->mac, runs[0].report->mac) << where;
+  }
+}
+
+// The block variant's outcome (the one that chains).
+const Outcome& block_run(const std::vector<Outcome>& runs) {
+  return runs.back();
+}
+
+// The monitored half of every differential: kCasu and kCfaBaseline on
+// the plain build, and all three monitored policies on the same
+// program flashed next to the ROM (kEilidHw needs it; under kCasu and
+// kCfaBaseline it arms the ROM gates).
+void expect_monitored_identical(const char* source, const std::string& tag,
+                                const RunSpec& spec) {
+  auto plain = build_of(source);
+  auto with_rom = build_with_rom(source);
+  for (EnforcementPolicy policy :
+       {EnforcementPolicy::kCasu, EnforcementPolicy::kCfaBaseline}) {
+    expect_identical(run_variants(plain, policy, tag, spec), tag);
+  }
+  for (EnforcementPolicy policy :
+       {EnforcementPolicy::kCasu, EnforcementPolicy::kCfaBaseline,
+        EnforcementPolicy::kEilidHw}) {
+    expect_identical(run_variants(with_rom, policy, tag + "-rom", spec),
+                     tag + "-rom");
   }
 }
 
@@ -183,7 +286,7 @@ TEST(Superblock, SelfModifyingStoreIntoExecutingBlock) {
   // Under CASU the store into program memory is *denied* and the device
   // resets -- at the identical instruction, with identical evidence, on
   // every engine.
-  expect_cfa_identical(build, "selfmod", 5000);
+  expect_monitored_identical(kStoreIntoOwnBlock, "selfmod", {.budget = 5000});
 }
 
 // ----------------------------------------------------------- IRQ timing
@@ -253,7 +356,9 @@ TEST(Superblock, IrqDeliversAtTheExactMidBlockBoundary) {
 
   // Interrupt entries and retis are logged edges: the CFA evidence
   // pins every delivery boundary.
-  expect_cfa_identical(build, "irq", 150000);
+  expect_monitored_identical(kIrqMidBlock, "irq",
+                             {.budget = 150000, .ram_from = 0x0300,
+                              .ram_words = 40});
 }
 
 // ------------------------------------------------- top-of-memory bound
@@ -328,7 +433,7 @@ TEST(Superblock, RunOffDecodedTailFaultsIdentically) {
   EXPECT_EQ(states[1], states[0]);
   EXPECT_EQ(states[2], states[0]);
 
-  expect_cfa_identical(build, "top", 10000);
+  expect_monitored_identical(kRunsOffTheTop, "top", {.budget = 10000});
 }
 
 // ------------------------------------------- indirect branch mid-block
@@ -386,7 +491,243 @@ TEST(Superblock, IndirectBranchToMidBlockPcDispatchesTheSuffix) {
 
   // The indirect edge (br r10 -> midblock) must appear in the evidence
   // with the same from/to under block dispatch as interpretively.
-  expect_cfa_identical(build, "mid", 10000);
+  expect_monitored_identical(kIndirectToMidBlock, "mid", {.budget = 10000});
+}
+
+// ------------------------------------------- chains ended by a watcher
+
+// Four blocks chain (main, a, b, c) before c's store into PMEM, which
+// CASU denies: the store never lands and the device resets at it.
+const char* kPmemStoreAfterChain = R"(.org 0xE000
+main:
+    mov #0x1000, r1
+    jmp a
+a:
+    inc r12
+    jmp b
+b:
+    inc r12
+    jmp c
+c:
+    inc r12
+store:
+    mov #0xDEAD, &0xE100
+halt:
+    jmp halt
+.vector 15, main
+)";
+
+TEST(Superblock, PmemStoreDeniedAfterChainedBlocks) {
+  auto build = build_with_rom(kPmemStoreAfterChain);
+  const uint16_t store = build->app.symbols.at("store");
+  for (EnforcementPolicy policy :
+       {EnforcementPolicy::kCasu, EnforcementPolicy::kCfaBaseline,
+        EnforcementPolicy::kEilidHw}) {
+    auto runs = run_variants(build, policy, "pmem", {.budget = 5000});
+    expect_identical(runs, "pmem");
+    const FinalState& state = runs[0].state;
+    ASSERT_EQ(state.resets.size(), 2u);
+    EXPECT_EQ(std::get<1>(state.resets[1]), store);
+    EXPECT_EQ(std::get<2>(state.resets[1]),
+              static_cast<uint8_t>(sim::ResetReason::kPmemWriteViolation));
+    EXPECT_EQ(state.regs[12], 0) << "volatile state survived the reset";
+    // The denial ended a chain: one machine-loop dispatch ran main, a,
+    // b and c.
+    EXPECT_GE(block_run(runs).blocks, 4u);
+    EXPECT_LT(block_run(runs).dispatches, block_run(runs).blocks);
+  }
+}
+
+// Three chained blocks, then a direct jump into the ROM body past its
+// entry section: CASU denies the fetch of the first ROM instruction.
+const char* kOffGateRomJump = R"(.org 0xE000
+main:
+    mov #0x1000, r1
+    jmp a
+a:
+    inc r12
+    jmp b
+b:
+    inc r12
+    br #S_EILID_check_ra
+halt:
+    jmp halt
+.vector 15, main
+)";
+
+TEST(Superblock, OffGateRomJumpEndsTheChain) {
+  auto build = build_with_rom(kOffGateRomJump);
+  const uint16_t target = build->rom.unit.symbols.at("S_EILID_check_ra");
+  ASSERT_GT(target, build->rom.entry_end);
+  for (EnforcementPolicy policy :
+       {EnforcementPolicy::kCasu, EnforcementPolicy::kCfaBaseline,
+        EnforcementPolicy::kEilidHw}) {
+    auto runs = run_variants(build, policy, "gate", {.budget = 5000});
+    expect_identical(runs, "gate");
+    const FinalState& state = runs[0].state;
+    ASSERT_EQ(state.resets.size(), 2u);
+    EXPECT_EQ(std::get<1>(state.resets[1]), target);
+    EXPECT_EQ(std::get<2>(state.resets[1]),
+              static_cast<uint8_t>(sim::ResetReason::kRomEntryViolation));
+    EXPECT_LT(block_run(runs).dispatches, block_run(runs).blocks);
+  }
+}
+
+// A legal store_ra / check_ra pair through the entry gate, then a
+// check_ra with a different return address: EILIDsw reports the
+// mismatch by writing kViolationReg from ROM, and CASU resets with the
+// reported reason. The whole sequence runs chained through ROM.
+const char* kViolationReport = R"(.org 0xE000
+main:
+    mov #0x1000, r1
+    mov #0x1234, r6
+    call #NS_EILID_store_ra
+    mov #0x1234, r6
+    call #NS_EILID_check_ra
+    inc r12
+    mov #0x1234, r6
+    call #NS_EILID_store_ra
+    mov #0x5678, r6
+    call #NS_EILID_check_ra
+    inc r12
+halt:
+    jmp halt
+.vector 15, main
+)";
+
+TEST(Superblock, ViolationReportFromRomEndsTheChain) {
+  auto build = build_with_rom(kViolationReport);
+  for (EnforcementPolicy policy :
+       {EnforcementPolicy::kCasu, EnforcementPolicy::kCfaBaseline,
+        EnforcementPolicy::kEilidHw}) {
+    auto runs = run_variants(build, policy, "report", {.budget = 5000});
+    expect_identical(runs, "report");
+    const FinalState& state = runs[0].state;
+    ASSERT_EQ(state.resets.size(), 2u);
+    EXPECT_TRUE(sim::is_rom(std::get<1>(state.resets[1])));
+    EXPECT_EQ(std::get<2>(state.resets[1]),
+              static_cast<uint8_t>(sim::ResetReason::kCfiReturnMismatch));
+    EXPECT_LT(block_run(runs).dispatches, block_run(runs).blocks);
+  }
+}
+
+// -------------------------------------------- interrupts held pending
+
+// The timer fires every 61 cycles while the loop spends most of its
+// time inside EILIDsw, whose atomicity holds the line pending until
+// the stub returns. The ISR logs the interrupted PC, so each delivery
+// boundary after ROM exit is frozen into RAM.
+const char* kIrqPendingInRom = R"(.equ TIMER_CTL, 0x0100
+.equ TIMER_CCR0, 0x0102
+.equ TIMER_FLAGS, 0x0106
+.org 0xE000
+main:
+    mov #0x1000, r1
+    mov #0x0300, r15
+    mov #61, &TIMER_CCR0
+    mov #3, &TIMER_CTL
+    eint
+loop:
+    mov #0x1234, r6
+    call #NS_EILID_store_ra
+after_store:
+    mov #0x1234, r6
+    call #NS_EILID_check_ra
+after_check:
+    inc r12
+    cmp #24, r14
+    jl loop
+    dint
+halt:
+    jmp halt
+timer_isr:
+    mov 2(r1), 0(r15)
+    incd r15
+    inc r14
+    clr &TIMER_FLAGS
+    reti
+.vector 15, main
+.vector 8, timer_isr
+)";
+
+TEST(Superblock, IrqPendingInRomDeliversAtTheSameBoundaryAfterExit) {
+  auto build = build_with_rom(kIrqPendingInRom);
+  const uint16_t after_store = build->app.symbols.at("after_store");
+  const uint16_t after_check = build->app.symbols.at("after_check");
+  for (EnforcementPolicy policy :
+       {EnforcementPolicy::kCasu, EnforcementPolicy::kCfaBaseline,
+        EnforcementPolicy::kEilidHw}) {
+    auto runs = run_variants(build, policy, "romirq",
+                             {.budget = 200000, .until = "halt",
+                              .ram_from = 0x0300, .ram_words = 24});
+    expect_identical(runs, "romirq");
+    const FinalState& state = runs[0].state;
+    EXPECT_GE(state.regs[14], 24);
+    EXPECT_EQ(state.resets.size(), 1u);  // power-on only
+    // No delivery lands inside ROM, and some land on the instruction
+    // right after a stub returns: the line went pending in ROM and
+    // waited for the exit.
+    size_t after_stub = 0;
+    for (uint16_t pc : state.ram) {
+      EXPECT_FALSE(sim::is_rom(pc)) << pc;
+      if (pc == after_store || pc == after_check) ++after_stub;
+    }
+    EXPECT_GT(after_stub, 0u);
+    EXPECT_LT(block_run(runs).dispatches, block_run(runs).blocks);
+  }
+}
+
+// A UART byte is waiting and its interrupt is enabled while GIE is
+// clear; `eint` ends a block in the middle of a chain. The per-step
+// core delivers the line right after `eint`, so the chain must stop
+// there too: the ISR's log of r12 pins the boundary.
+const char* kUartPendingBeforeEint = R"(.equ UART_RX, 0x0132
+.equ UART_STAT, 0x0134
+.org 0xE000
+main:
+    mov #0x1000, r1
+    mov #0x0300, r15
+    mov #4, &UART_STAT
+    jmp a
+a:
+    inc r12
+    jmp b
+b:
+    inc r12
+    eint
+    inc r12
+    inc r12
+    jmp c
+c:
+    inc r12
+    dint
+halt:
+    jmp halt
+uart_isr:
+    mov r12, 0(r15)
+    incd r15
+    mov &UART_RX, r14
+    reti
+.vector 15, main
+.vector 6, uart_isr
+)";
+
+TEST(Superblock, PendingIrqStopsTheChainWhenGieSets) {
+  RunSpec spec{.budget = 10000, .until = "halt", .uart = "x",
+               .ram_from = 0x0300, .ram_words = 2};
+  for (EnforcementPolicy policy :
+       {EnforcementPolicy::kNone, EnforcementPolicy::kCasu,
+        EnforcementPolicy::kCfaBaseline}) {
+    auto runs = run_variants(build_of(kUartPendingBeforeEint), policy,
+                             "uart", spec);
+    expect_identical(runs, "uart");
+    EXPECT_EQ(runs[0].state.ram[0], 2) << "delivered right after eint";
+    EXPECT_EQ(runs[0].state.regs[14], 'x');
+  }
+  auto runs = run_variants(build_with_rom(kUartPendingBeforeEint),
+                           EnforcementPolicy::kEilidHw, "uart-rom", spec);
+  expect_identical(runs, "uart-rom");
+  EXPECT_EQ(runs[0].state.ram[0], 2);
 }
 
 // ------------------------------------------------- fleet-wide sharing
