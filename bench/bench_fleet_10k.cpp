@@ -3,87 +3,65 @@
 //
 // One mixed-policy fleet (5/8 CFA-baseline, 1/8 CASU, 1/8 unprotected,
 // 1/8 EILID-hw; a sprinkle of the CFA devices diverged by a rogue
-// validly-MAC'd patch) is built three times -- SEQUENTIALLY, so peak
-// memory stays one fleet's worth -- and its evidence verified three
-// ways over the same scenario (boot workload, then a rolling
-// four-wave update campaign interleaved with verification):
+// validly-MAC'd patch) is built once per variant and round --
+// SEQUENTIALLY, so peak memory stays one fleet's worth -- and its
+// evidence verified three ways over the same scenario (boot workload,
+// then a rolling four-wave update campaign interleaved with
+// verification):
 //
 //   barrier          -- VerifierService::verify_all full drains,
 //   windowed-serial  -- IncrementalVerifier bounded slices on the
 //                       rolling FleetClock schedule,
-//   windowed-pooled  -- the same window fanned over a thread pool.
+//   windowed-pooled  -- the same window fanned over the largest pool
+//                       of the {1, 2, 4} sweep capped at the host's
+//                       hardware threads (bench_util.h).
 //
 // Correctness gates (the bench FAILS on any violation):
-//   - per-device folded AttestSummary maps are bit-identical across
-//     all three variants (hijacks convicted at the same first edge,
-//     campaign epoch markers honored mid-window),
+//   - per-device folded AttestSummary maps and heartbeat records are
+//     bit-identical across all three variants (hijacks convicted at the
+//     same first edge, campaign epoch markers honored mid-window) and
+//     repeat every round,
 //   - exactly the diverged devices convict,
 //   - resident bytes/device: the fleet-wide mean stays under
 //     kMeanResidentGate and the worst device under kMaxResidentGate --
 //     the copy-on-write memory diet, gated absolutely (a flat design
 //     costs 65536 B/device before logs).
 //
-// speedup_vs_barrier compares the drains alone (drain_ms: the boot
-// drain plus the four per-wave drains, i.e. verify_all() for barrier
-// and drain_windowed() for the windowed rows). verify_ms still spans
-// the whole scenario -- campaign applies, device runs, power cycles
-// and the heartbeat window included -- and is printed, not gated.
+// Each variant's phases are timed in CPU time over interleaved rounds:
+// provision, apply (campaign applies and reboots), run (device runs
+// back to halt), heartbeat (the backoff window) and drain (the boot
+// drain plus the four per-wave drains: verify_all() for barrier,
+// drain_windowed() for the windowed rows). windowed-serial's gated
+// speedup_vs_barrier is the median over rounds of barrier drain CPU /
+// its drain CPU within one round. windowed-pooled is gated on the work
+// it does (its summaries and counters must equal barrier's); its drain
+// ratio is recorded as cpu_speedup_vs_barrier, not gated. The other
+// phase times are informational.
 //
 // Results land in BENCH_fleet_10k.json (committed at the repo root; CI
 // re-runs --smoke and scripts/check_bench_regression.py compares
-// speedup_* ratios and resident_* absolutes against the baseline).
+// speedup_* ratios, resident_* absolutes and count_* columns (verdict
+// edges, convictions, heartbeats and missed beats) against the
+// baseline's smoke block; each row records the pool size it ran on as
+// `threads`).
 //
 // Usage: bench_fleet_10k [--smoke]   (--smoke: 512 devices; full: 10000)
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <set>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "src/common/thread_pool.h"
+#include "bench/bench_util.h"
 #include "src/eilid/fleet.h"
 #include "src/eilid/health.h"
 #include "src/eilid/incremental.h"
 
 using namespace eilid;
+using namespace eilid::bench;
 
 namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double ms_since(clock_type::time_point start) {
-  return std::chrono::duration<double, std::milli>(clock_type::now() - start)
-      .count();
-}
-
-std::string firmware(int generation) {
-  std::string s = R"(.equ UART_TX, 0x0130
-.org 0xE000
-main:
-    mov #0x1000, r1
-)";
-  for (int i = 0; i < generation + 1; ++i) s += "    call #emit\n";
-  s += R"(halt:
-    jmp halt
-emit:
-    mov.b #')";
-  s += static_cast<char>('0' + generation);
-  s += R"(', &UART_TX
-    ret
-.vector 15, main
-.end
-)";
-  return s;
-}
-
-std::string device_id(size_t i) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "dev-%05zu", i);
-  return buf;
-}
 
 EnforcementPolicy policy_for(size_t i) {
   switch (i % 8) {
@@ -119,57 +97,40 @@ constexpr double kMeanResidentGate = 16384.0;
 constexpr size_t kMaxResidentGate = 32768;
 
 enum class Variant { kBarrier, kWindowedSerial, kWindowedPooled };
+constexpr Variant kVariants[] = {Variant::kBarrier, Variant::kWindowedSerial,
+                                 Variant::kWindowedPooled};
+const char* const kVariantNames[] = {"barrier", "windowed-serial",
+                                     "windowed-pooled"};
+const std::vector<std::string> kPhases = {"provision", "apply", "run",
+                                          "heartbeat", "drain"};
 
-const char* variant_name(Variant v) {
-  switch (v) {
-    case Variant::kBarrier: return "barrier";
-    case Variant::kWindowedSerial: return "windowed-serial";
-    case Variant::kWindowedPooled: return "windowed-pooled";
-  }
-  return "?";
-}
-
-struct RowResult {
-  Variant variant = Variant::kBarrier;
-  double provision_ms = 0;
-  double verify_ms = 0;     // the whole scenario after provisioning
-  double drain_ms = 0;      // the five evidence drains alone
-  double heartbeat_ms = 0;  // the backoff heartbeat window
-  size_t devices = 0;
-  size_t cfa_devices = 0;
-  size_t convicted = 0;
-  uint64_t edges = 0;  // total evidence replayed
-  double resident_mean = 0;  // bytes/device at the pre-drain peak
-  size_t resident_max = 0;
-  bool gates_ok = true;
+// What every variant and round must reproduce exactly.
+struct VariantOutcome {
   std::map<std::string, AttestSummary> summaries;
   std::vector<FreshnessRecord> heartbeat_records;
+  size_t resident_total = 0;  // bytes at the pre-drain peak
+  size_t resident_max = 0;
+  bool operator==(const VariantOutcome&) const = default;
 };
 
-void fail(RowResult& row, const char* what) {
-  std::printf("  !! %s: %s\n", variant_name(row.variant), what);
-  row.gates_ok = false;
-}
-
-void provision(Fleet& fleet, size_t devices, RowResult& row) {
+void provision(CellRun& run, Fleet& fleet, size_t devices) {
   for (size_t i = 0; i < devices; ++i) {
     DeviceSession& dev =
-        fleet.provision(device_id(i), firmware(0), "fw", policy_for(i),
+        fleet.provision(device_id(i, 5), firmware(0), "fw", policy_for(i),
                         {.cfa = {.log_capacity = 65536}});
     dev.run_to_symbol("halt", 100000);
     dev.run(kHaltSpin);
   }
   for (size_t i = 0; i < devices; ++i) {
     if (!diverged(i)) continue;
-    DeviceSession& dev = fleet.at(device_id(i));
-    const crypto::Digest key = fleet.update_key(device_id(i));
+    DeviceSession& dev = fleet.at(device_id(i, 5));
+    const crypto::Digest key = fleet.update_key(device_id(i, 5));
     casu::UpdateAuthority authority(
         std::span<const uint8_t>(key.data(), key.size()));
-    if (dev.apply_update(authority.make_package(
-            0xE800, dev.firmware_version() + 1, {0x03, 0x43})) !=
-        casu::UpdateStatus::kApplied) {
-      fail(row, "rogue package refused");
-    }
+    run.check(dev.apply_update(authority.make_package(
+                  0xE800, dev.firmware_version() + 1, {0x03, 0x43})) ==
+                  casu::UpdateStatus::kApplied,
+              "rogue package refused");
   }
 }
 
@@ -181,7 +142,7 @@ void fold_sweep(std::map<std::string, AttestSummary>& acc,
 
 // Drive the windowed verifier until no CFA device holds evidence.
 bool drain_windowed(Fleet& fleet, IncrementalVerifier& verifier,
-                    common::ThreadPool* pool) {
+                    common::ThreadPool& pool) {
   for (int guard = 0; guard < 100000; ++guard) {
     bool pending = false;
     for (DeviceSession* s : fleet.sessions()) {
@@ -191,40 +152,23 @@ bool drain_windowed(Fleet& fleet, IncrementalVerifier& verifier,
       }
     }
     if (!pending) return true;
-    const Tick next = fleet.clock().now() + verifier.options().period;
-    if (pool == nullptr) {
-      verifier.run_until(next);
-    } else {
-      verifier.run_until(next, *pool);
-    }
+    verifier.run_until(fleet.clock().now() + verifier.options().period, pool);
   }
   return false;
 }
 
-RowResult run_variant(Variant variant, size_t devices, size_t threads) {
-  RowResult row;
-  row.variant = variant;
-  row.devices = devices;
-  common::ThreadPool pool(threads);
-  common::ThreadPool* windowed_pool =
-      variant == Variant::kWindowedPooled ? &pool : nullptr;
-
-  auto t0 = clock_type::now();
+VariantOutcome run_variant(CellRun& run, Variant variant, size_t devices,
+                           common::ThreadPool& pool) {
+  VariantOutcome out;
   Fleet fleet;
-  provision(fleet, devices, row);
-  row.provision_ms = ms_since(t0);
+  run.time("provision", [&] { provision(run, fleet, devices); });
 
   // Memory-diet snapshot at the pre-drain peak: boot workload run,
   // every CFA log still resident.
-  {
-    size_t total = 0;
-    for (DeviceSession* dev : fleet.sessions()) {
-      const size_t bytes = dev->resident_memory_bytes();
-      total += bytes;
-      if (bytes > row.resident_max) row.resident_max = bytes;
-    }
-    row.resident_mean =
-        static_cast<double>(total) / static_cast<double>(devices);
+  for (DeviceSession* dev : fleet.sessions()) {
+    const size_t bytes = dev->resident_memory_bytes();
+    out.resident_total += bytes;
+    out.resident_max = std::max(out.resident_max, bytes);
   }
 
   // Campaign waves: the updatable CFA devices in id order, quartered.
@@ -232,11 +176,7 @@ RowResult run_variant(Variant variant, size_t devices, size_t threads) {
   // owns those -- see bench_fleet_health.)
   std::vector<std::string> wave_pool;
   for (size_t i = 0; i < devices; ++i) {
-    if (is_cfa(i) && !diverged(i)) {
-      wave_pool.push_back(device_id(i));
-      ++row.cfa_devices;
-    }
-    if (is_cfa(i) && diverged(i)) ++row.cfa_devices;
+    if (is_cfa(i) && !diverged(i)) wave_pool.push_back(device_id(i, 5));
   }
   auto golden = fleet.build(firmware(1), "fw", {.eilid = false});
 
@@ -247,18 +187,17 @@ RowResult run_variant(Variant variant, size_t devices, size_t threads) {
   IncrementalVerifier windowed(fleet, window_options);
 
   // One evidence drain: a barrier sweep, or windowed slices until no
-  // device holds evidence. Timed on its own into row.drain_ms.
+  // device holds evidence.
   auto drain = [&](const char* failure) {
-    const auto start = clock_type::now();
-    if (variant == Variant::kBarrier) {
-      fold_sweep(row.summaries, fleet.verifier().verify_all());
-    } else if (!drain_windowed(fleet, windowed, windowed_pool)) {
-      fail(row, failure);
-    }
-    row.drain_ms += ms_since(start);
+    run.time("drain", [&] {
+      if (variant == Variant::kBarrier) {
+        fold_sweep(out.summaries, fleet.verifier().verify_all());
+      } else {
+        run.check(drain_windowed(fleet, windowed, pool), failure);
+      }
+    });
   };
 
-  t0 = clock_type::now();
   // Phase 0: boot evidence (diverged devices convict here).
   drain("windowed verifier never drained boot evidence");
 
@@ -270,175 +209,158 @@ RowResult run_variant(Variant variant, size_t devices, size_t threads) {
   // -- the records are then gated bit-identical across variants.
   {
     fleet.clock().advance_to(kHeartbeatStart);
+    size_t expect_offline = 0;
     for (size_t i = 0; i < devices; ++i) {
-      if (unreachable(i)) fleet.at(device_id(i)).set_online(false);
+      if (!unreachable(i)) continue;
+      fleet.at(device_id(i, 5)).set_online(false);
+      ++expect_offline;
     }
     HeartbeatScheduler heartbeats(
         fleet, {.period = 50, .jitter = 20, .max_backoff_exponent = 4});
-    auto hb0 = clock_type::now();
-    if (windowed_pool == nullptr) {
-      heartbeats.run_until(kHeartbeatStart + 1000);
-    } else {
-      heartbeats.run_until(kHeartbeatStart + 1000, *windowed_pool);
-    }
-    row.heartbeat_ms = ms_since(hb0);
-    row.heartbeat_records = heartbeats.records();
+    run.time("heartbeat",
+             [&] { heartbeats.run_until(kHeartbeatStart + 1000, pool); });
+    out.heartbeat_records = heartbeats.records();
     for (size_t i = 0; i < devices; ++i) {
-      if (unreachable(i)) fleet.at(device_id(i)).set_online(true);
+      if (unreachable(i)) fleet.at(device_id(i, 5)).set_online(true);
     }
     size_t backed_off = 0;
-    for (const FreshnessRecord& record : row.heartbeat_records) {
+    uint64_t beats = 0;
+    uint64_t misses = 0;
+    for (const FreshnessRecord& record : out.heartbeat_records) {
+      beats += record.heartbeats;
+      misses += record.misses;
       if (record.misses > 0) {
         ++backed_off;
         // 20 periods fit in the window; backoff must have collapsed
         // the miss run to a handful of due beats.
-        if (record.misses > 6) fail(row, "backoff did not engage");
-      } else if (record.heartbeats == 0) {
-        fail(row, "reachable device never beat");
+        run.check(record.misses <= 6, "backoff did not engage");
+      } else {
+        run.check(record.heartbeats > 0, "reachable device never beat");
       }
     }
-    size_t expect_offline = 0;
-    for (size_t i = 0; i < devices; ++i) {
-      if (unreachable(i)) ++expect_offline;
-    }
-    if (backed_off != expect_offline) {
-      fail(row, "offline device count wrong in heartbeat records");
-    }
+    run.check(backed_off == expect_offline,
+              "offline device count wrong in heartbeat records");
+    run.count("heartbeats", beats);
+    run.count("heartbeat_misses", misses);
   }
 
-  // Rolling campaign: each wave updates a quarter of the fleet, then
-  // verification drains the epoch markers plus the new generation's
-  // evidence -- mid-window for the incremental variants.
+  // Rolling campaign: each wave updates a quarter of the fleet and
+  // reboots it into the shifted image, the devices run back to halt,
+  // then verification drains the epoch markers plus the new
+  // generation's evidence -- mid-window for the incremental variants.
   UpdateCampaign campaign = fleet.stage_update(golden);
   for (size_t wave = 0; wave < kWaves; ++wave) {
     const size_t begin = wave * wave_pool.size() / kWaves;
     const size_t end = (wave + 1) * wave_pool.size() / kWaves;
-    for (size_t w = begin; w < end; ++w) {
-      DeviceSession& dev = fleet.at(wave_pool[w]);
-      UpdateOutcome outcome = campaign.apply_to(dev);
-      if (!outcome.ok()) fail(row, "campaign wave update refused");
-      dev.power_cycle();  // reboot into the shifted image
-      dev.run_to_symbol("halt", 100000);
-      dev.run(kHaltSpin);
-    }
+    run.time("apply", [&] {
+      for (size_t w = begin; w < end; ++w) {
+        DeviceSession& dev = fleet.at(wave_pool[w]);
+        run.check(campaign.apply_to(dev).ok(), "campaign wave update refused");
+        dev.power_cycle();
+      }
+    });
+    run.time("run", [&] {
+      for (size_t w = begin; w < end; ++w) {
+        DeviceSession& dev = fleet.at(wave_pool[w]);
+        dev.run_to_symbol("halt", 100000);
+        dev.run(kHaltSpin);
+      }
+    });
     drain("windowed verifier never drained a wave");
   }
-  row.verify_ms = ms_since(t0);
 
   if (variant != Variant::kBarrier) {
     for (const AttestSummary& s : windowed.summaries()) {
-      row.summaries[s.device_id] = s;
+      out.summaries[s.device_id] = s;
     }
   }
-  for (const auto& [id, summary] : row.summaries) {
-    (void)id;
-    row.edges += summary.edges;
-    if (summary.convicted()) ++row.convicted;
-  }
-
   // Conviction membership: exactly the diverged devices.
   std::set<std::string> expect;
   for (size_t i = 0; i < devices; ++i) {
-    if (diverged(i)) expect.insert(device_id(i));
+    if (diverged(i)) expect.insert(device_id(i, 5));
   }
   std::set<std::string> got;
-  for (const auto& [id, summary] : row.summaries) {
+  uint64_t edges = 0;
+  for (const auto& [id, summary] : out.summaries) {
+    edges += summary.edges;
     if (summary.convicted()) got.insert(id);
   }
-  if (got != expect) fail(row, "conviction membership wrong");
+  run.check(got == expect, "conviction membership wrong");
+  run.count("edges", edges);
+  run.count("convicted", got.size());
 
-  if (row.resident_mean > kMeanResidentGate) {
-    fail(row, "mean resident bytes/device over gate");
-  }
-  if (row.resident_max > kMaxResidentGate) {
-    fail(row, "max resident bytes/device over gate");
-  }
-  return row;
+  run.check(static_cast<double>(out.resident_total) <=
+                kMeanResidentGate * static_cast<double>(devices),
+            "mean resident bytes/device over gate");
+  run.check(out.resident_max <= kMaxResidentGate,
+            "max resident bytes/device over gate");
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bool smoke = smoke_mode(argc, argv);
   const size_t devices = smoke ? 512 : 10000;
-  const size_t threads = 4;
+  const int rounds = smoke ? 15 : 5;
+  PoolSweep pools;
+  const size_t pooled_row = pools.size() - 1;
 
-  std::vector<RowResult> rows;
-  // Sequential by design: one fleet resident at a time bounds the
-  // bench's own peak memory to a single 10k fleet.
-  rows.push_back(run_variant(Variant::kBarrier, devices, threads));
-  rows.push_back(run_variant(Variant::kWindowedSerial, devices, threads));
-  rows.push_back(run_variant(Variant::kWindowedPooled, devices, threads));
-  const RowResult& barrier = rows[0];
-
-  std::printf("Fleet 10k (%s): %zu devices (%zu CFA), 4-wave rolling "
-              "campaign, windowed slices of %zu edges\n",
-              smoke ? "smoke" : "full", devices, barrier.cfa_devices,
-              size_t{128});
-  std::printf("%16s | %12s | %10s | %10s | %12s | %10s | %9s\n",
-              "variant", "provision ms", "verify ms", "drain ms",
-              "verdict edges", "convicted", "speedup");
-  bool ok = true;
-  for (const RowResult& row : rows) {
-    std::printf("%16s | %12.2f | %10.2f | %10.2f | %12llu | %10zu | %8.2fx\n",
-                variant_name(row.variant), row.provision_ms, row.verify_ms,
-                row.drain_ms, static_cast<unsigned long long>(row.edges),
-                row.convicted,
-                row.drain_ms > 0 ? barrier.drain_ms / row.drain_ms : 0.0);
-    if (!row.gates_ok) {
-      std::printf("  !! %s: correctness gate failed\n",
-                  variant_name(row.variant));
-      ok = false;
-    }
-    if (!(row.summaries == barrier.summaries)) {
-      std::printf("  !! %s: summaries diverge from the barrier sweep\n",
-                  variant_name(row.variant));
-      ok = false;
-    }
-    if (!(row.heartbeat_records == barrier.heartbeat_records)) {
-      std::printf("  !! %s: heartbeat records diverge across variants\n",
-                  variant_name(row.variant));
-      ok = false;
-    }
+  // Sequential by design: each cell builds and drops its own fleet, so
+  // one fleet is resident at a time.
+  Cells<VariantOutcome> cells;
+  for (Variant variant : kVariants) {
+    const bool pooled = variant == Variant::kWindowedPooled;
+    cells.add(kVariantNames[static_cast<int>(variant)], pooled ? pools.threads(pooled_row) : 1,
+              [&pools, variant, pooled, pooled_row, devices](CellRun& run) {
+                return run_variant(run, variant, devices,
+                                   pools.pool(pooled ? pooled_row : 0));
+              },
+              0);
   }
+  cells.run(rounds);
+
+  const VariantOutcome& base = cells.result(0);
+  const double resident_mean = static_cast<double>(base.resident_total) /
+                               static_cast<double>(devices);
+  size_t cfa_devices = 0;
+  for (size_t i = 0; i < devices; ++i) cfa_devices += is_cfa(i) ? 1 : 0;
+  std::printf("Fleet 10k (%s): %zu devices (%zu CFA), 4-wave rolling "
+              "campaign, windowed slices of %zu edges, %d rounds, CPU ms "
+              "median [q1, q3]\n",
+              smoke ? "smoke" : "full", devices, cfa_devices, size_t{128},
+              rounds);
+  std::vector<Json> rows;
+  for (size_t v = 0; v < std::size(kVariants); ++v) {
+    print_cell(cells, 0, v, kPhases, "drain");
+    Json json;
+    json.text("policy", cells.label(v))
+        .count("threads", kVariants[v] == Variant::kWindowedPooled
+                              ? pools.threads(pooled_row)
+                              : 1);
+    add_columns(json, cells, v, kPhases);
+    json.num("resident_bytes_per_device", resident_mean, 0)
+        .count("resident_bytes_per_device_max", base.resident_max)
+        .num("speedup_resident_vs_flat",
+             resident_mean > 0 ? 65536.0 / resident_mean : 0.0);
+    add_speedup(json, cells, 0, v, "drain", "speedup_vs_barrier");
+    rows.push_back(json.flag("gates_ok", cells.ok(v)));
+  }
+  std::printf("verdict edges %llu, convicted %llu, identical across "
+              "variants\n",
+              static_cast<unsigned long long>(cells.counts(0).at("edges")),
+              static_cast<unsigned long long>(cells.counts(0).at("convicted")));
   std::printf("resident bytes/device at peak: mean %.0f, max %zu "
               "(flat design: 65536 + log)\n",
-              barrier.resident_mean, barrier.resident_max);
+              resident_mean, base.resident_max);
 
-  std::string rows_json;
-  for (const RowResult& row : rows) {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"policy\": \"%s\", \"provision_ms\": %.2f, "
-        "\"verify_ms\": %.2f, \"drain_ms\": %.2f, "
-        "\"heartbeat_ms\": %.2f, "
-        "\"edges\": %llu, \"convicted\": %zu, "
-        "\"resident_bytes_per_device\": %.0f, "
-        "\"resident_bytes_per_device_max\": %zu, "
-        "\"speedup_resident_vs_flat\": %.2f, "
-        "\"speedup_vs_barrier\": %.2f, \"gates_ok\": %s},\n",
-        variant_name(row.variant), row.provision_ms, row.verify_ms,
-        row.drain_ms, row.heartbeat_ms,
-        static_cast<unsigned long long>(row.edges), row.convicted,
-        row.resident_mean, row.resident_max,
-        row.resident_mean > 0 ? 65536.0 / row.resident_mean : 0.0,
-        row.drain_ms > 0 ? barrier.drain_ms / row.drain_ms : 0.0,
-        row.gates_ok ? "true" : "false");
-    rows_json += buf;
-  }
-  if (!rows_json.empty()) rows_json.resize(rows_json.size() - 2);
-  FILE* json = std::fopen("BENCH_fleet_10k.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"bench\": \"fleet_10k\",\n  \"mode\": \"%s\",\n"
-                 "  \"devices\": %zu,\n  \"rows\": [\n%s\n  ],\n"
-                 "  \"ok\": %s\n}\n",
-                 smoke ? "smoke" : "full", devices, rows_json.c_str(),
-                 ok ? "true" : "false");
-    std::fclose(json);
-  }
-
+  const bool ok = cells.ok();
+  report("fleet_10k", smoke, rounds)
+      .count("pool_cap", pools.cap())
+      .count("devices", devices)
+      .array("rows", rows)
+      .flag("ok", ok)
+      .write("BENCH_fleet_10k.json");
   std::printf("%s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

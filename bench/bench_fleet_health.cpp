@@ -1,6 +1,8 @@
 // Fleet-health throughput: heartbeat attestation sweeps and automated
 // self-healing at fleet scale, driven entirely on the deterministic
-// FleetClock. Per thread count in {1, 2, 4, 8} (1 = the serial paths):
+// FleetClock. Per pool size in the {1, 2, 4} sweep capped at the
+// host's hardware threads (bench_util.h; 1 = the same pooled calls on
+// ThreadPool::inline_pool()):
 //
 //   1. cadence sweep -- a healthy fleet swept by HeartbeatScheduler at
 //      periods {25, 50, 100} over a 1000-tick horizon; verdicts/sec
@@ -16,66 +18,42 @@
 //      attests clean.
 //
 // Correctness gates (the bench FAILS on any violation): the membership
-// checks above, plus determinism -- every thread count's sequence of
+// checks above, plus determinism -- every pool size's sequence of
 // HealthReports (and cadence HeartbeatReports) must be bit-identical
-// to the serial row's, including the mid-scenario per-device staleness
-// histogram (snapshotted right after the stale eighth is quarantined:
-// exactly the devices past the policy threshold must sit in the
-// over-threshold buckets).
+// to the 1-thread row's and repeat every round, including the
+// mid-scenario per-device staleness histogram (snapshotted right after
+// the stale eighth is quarantined: exactly the devices past the policy
+// threshold must sit in the over-threshold buckets).
 //
-// Results land in BENCH_fleet_health.json (committed at the repo root;
-// CI re-runs the bench and scripts/check_bench_regression.py compares
-// fresh numbers against the committed baseline).
+// Both scenarios are timed in CPU time over interleaved rounds. The
+// pooled rows are gated on the work the program counts, not on time:
+// the `count_*` columns (cadence verdicts, remediations, health-monitor
+// heartbeats and missed beats) must match the 1-thread row's exactly,
+// and the checker gates them exactly against the baseline.
+// `cpu_speedup` (1-thread cadence CPU / this row's, the pooled path's
+// overhead in work) and `wall_speedup` are recorded, not gated: on a
+// shared host the CPU ratio reads about 0.3x when the workers overlap
+// and contend and 0.7x when the host serializes them. Results land in
+// BENCH_fleet_health.json (committed at the repo root; CI re-runs
+// --smoke and scripts/check_bench_regression.py compares it with the
+// smoke block).
 //
 // Usage: bench_fleet_health [--smoke]   (--smoke: CI-sized fleet)
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "src/common/thread_pool.h"
+#include "bench/bench_util.h"
 #include "src/eilid/fleet.h"
 #include "src/eilid/health.h"
 
 using namespace eilid;
+using namespace eilid::bench;
 
 namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double ms_since(clock_type::time_point start) {
-  return std::chrono::duration<double, std::milli>(clock_type::now() - start)
-      .count();
-}
-
-std::string firmware(int generation) {
-  std::string s = R"(.equ UART_TX, 0x0130
-.org 0xE000
-main:
-    mov #0x1000, r1
-)";
-  for (int i = 0; i < generation + 1; ++i) s += "    call #emit\n";
-  s += R"(halt:
-    jmp halt
-emit:
-    mov.b #')";
-  s += static_cast<char>('0' + generation);
-  s += R"(', &UART_TX
-    ret
-.vector 15, main
-.end
-)";
-  return s;
-}
-
-std::string device_id(size_t i) {
-  char buf[32];  // worst-case %zu needs more than 16 (-Wformat-truncation)
-  std::snprintf(buf, sizeof(buf), "dev-%03zu", i);
-  return buf;
-}
 
 bool forced_offline(size_t i) { return i % 8 == 3; }   // goes stale
 bool forced_diverged(size_t i) { return i % 8 == 6; }  // convicts
@@ -89,30 +67,19 @@ constexpr Tick kStalenessEdges[] = {50, 100, 200, 400};
 constexpr size_t kStalenessBuckets =
     sizeof(kStalenessEdges) / sizeof(kStalenessEdges[0]) + 1;
 
-struct RowResult {
-  size_t threads = 0;
-  double cadence_ms = 0;  // all three cadences, summed
-  double heal_ms = 0;     // the four-pass self-healing scenario
-  size_t verdicts = 0;    // cadence-sweep verdicts (for verdicts/sec)
+// What every row and round must reproduce exactly: the cadence
+// reports, the self-healing reports and the staleness histogram.
+struct RowOutcome {
+  std::vector<HeartbeatReport> cadence_reports;
+  std::vector<HealthReport> heal_reports;
   // Per-device staleness histogram, snapshotted after pass 2 (see
   // below): counts per kStalenessEdges bucket, last bucket = overflow.
   std::vector<size_t> staleness_hist;
-  bool gates_ok = true;
-  std::vector<HeartbeatReport> cadence_reports;  // compared across rows
-  std::vector<HealthReport> heal_reports;        // ditto
+  bool operator==(const RowOutcome&) const = default;
 };
 
-void fail(RowResult& row, const char* what) {
-  std::printf("  !! threads=%zu: %s\n", row.threads, what);
-  row.gates_ok = false;
-}
-
-RowResult run_row(size_t threads, size_t devices) {
-  RowResult row;
-  row.threads = threads;
-  const bool serial = threads == 1;
-  common::ThreadPool pool(threads);
-
+RowOutcome run_row(CellRun& run, size_t devices, common::ThreadPool& pool) {
+  RowOutcome out;
   Fleet fleet;
   for (size_t i = 0; i < devices; ++i) {
     DeviceSession& dev =
@@ -125,30 +92,25 @@ RowResult run_row(size_t threads, size_t devices) {
   auto golden = fleet.build(firmware(1), "fw", {.eilid = false});
 
   // --- 1. cadence sweep over the healthy fleet -----------------------
-  {
-    auto t0 = clock_type::now();
-    for (Tick period : kCadences) {
-      HeartbeatScheduler scheduler(fleet, {.period = period});
-      const Tick deadline = fleet.clock().now() + kHorizon;
-      HeartbeatReport report =
-          serial ? scheduler.run_until(deadline)
-                 : scheduler.run_until(deadline, pool);
-      if (report.beats.size() != kHorizon / period) {
-        fail(row, "cadence beat count mismatch");
+  size_t verdicts = 0;
+  for (Tick period : kCadences) {
+    HeartbeatScheduler scheduler(fleet, {.period = period});
+    const Tick deadline = fleet.clock().now() + kHorizon;
+    HeartbeatReport report;
+    run.time("cadence", [&] { report = scheduler.run_until(deadline, pool); });
+    run.check(report.beats.size() == kHorizon / period,
+              "cadence beat count mismatch");
+    for (const HeartbeatBeat& beat : report.beats) {
+      run.check(beat.verdicts.size() == devices && beat.missed.empty(),
+                "cadence sweep missed devices");
+      for (const auto& verdict : beat.verdicts) {
+        run.check(verdict.ok(), "cadence verdict not ok");
       }
-      for (const HeartbeatBeat& beat : report.beats) {
-        if (beat.verdicts.size() != devices || !beat.missed.empty()) {
-          fail(row, "cadence sweep missed devices");
-        }
-        for (const auto& verdict : beat.verdicts) {
-          if (!verdict.ok()) fail(row, "cadence verdict not ok");
-        }
-        row.verdicts += beat.verdicts.size();
-      }
-      row.cadence_reports.push_back(std::move(report));
+      verdicts += beat.verdicts.size();
     }
-    row.cadence_ms = ms_since(t0);
+    out.cadence_reports.push_back(std::move(report));
   }
+  run.count("verdicts", verdicts);
 
   // --- 2. self-healing: forced-stale + forced-conviction -------------
   std::set<std::string> offline_ids;
@@ -162,11 +124,10 @@ RowResult run_row(size_t threads, size_t devices) {
       const crypto::Digest key = fleet.update_key(device_id(i));
       casu::UpdateAuthority authority(
           std::span<const uint8_t>(key.data(), key.size()));
-      if (dev.apply_update(authority.make_package(
-              0xE800, dev.firmware_version() + 1, {0x03, 0x43})) !=
-          casu::UpdateStatus::kApplied) {
-        fail(row, "rogue package refused");
-      }
+      run.check(dev.apply_update(authority.make_package(
+                    0xE800, dev.firmware_version() + 1, {0x03, 0x43})) ==
+                    casu::UpdateStatus::kApplied,
+                "rogue package refused");
       diverged_ids.insert(device_id(i));
     }
   }
@@ -176,10 +137,12 @@ RowResult run_row(size_t threads, size_t devices) {
                                .policy = {.staleness_threshold = 250}});
   health.stage_remediation(fleet.stage_update(golden));
   const Tick t_start = fleet.clock().now();
+  size_t remediations = 0;
   auto run_pass = [&](Tick deadline) {
-    HealthReport report = serial ? health.run_until(deadline)
-                                 : health.run_until(deadline, pool);
-    row.heal_reports.push_back(report);
+    HealthReport report;
+    run.time("heal", [&] { report = health.run_until(deadline, pool); });
+    remediations += report.remediations.size();
+    out.heal_reports.push_back(report);
     return report;
   };
   auto quarantined_ids = [](const std::vector<QuarantineEntry>& entries) {
@@ -188,48 +151,39 @@ RowResult run_row(size_t threads, size_t devices) {
     return ids;
   };
 
-  auto t0 = clock_type::now();
   // Pass 1: first beat. Diverged devices convict, quarantine, and heal
   // in one pass; offline devices miss but are not yet stale.
   HealthReport pass = run_pass(t_start + 150);
-  if (quarantined_ids(pass.newly_quarantined) != diverged_ids) {
-    fail(row, "pass 1: conviction quarantine membership wrong");
-  }
+  run.check(quarantined_ids(pass.newly_quarantined) == diverged_ids,
+            "pass 1: conviction quarantine membership wrong");
   for (const auto& entry : pass.newly_quarantined) {
-    if (entry.reason != QuarantineReason::kConvicted) {
-      fail(row, "pass 1: conviction reason wrong");
-    }
+    run.check(entry.reason == QuarantineReason::kConvicted,
+              "pass 1: conviction reason wrong");
   }
-  if (pass.remediations.size() != diverged_ids.size()) {
-    fail(row, "pass 1: remediation count wrong");
-  }
+  run.check(pass.remediations.size() == diverged_ids.size(),
+            "pass 1: remediation count wrong");
   for (const auto& heal : pass.remediations) {
-    if (!heal.healed || heal.update.result != UpdateResult::kApplied ||
-        !heal.verdict.ok()) {
-      fail(row, "pass 1: convicted device did not heal");
-    }
+    run.check(heal.healed && heal.update.result == UpdateResult::kApplied &&
+                  heal.verdict.ok(),
+              "pass 1: convicted device did not heal");
   }
-  if (pass.quarantined_after != 0) fail(row, "pass 1: quarantine not empty");
+  run.check(pass.quarantined_after == 0, "pass 1: quarantine not empty");
 
   // Pass 2: the offline eighth ages past the staleness threshold. They
   // are quarantined but unreachable -- remediation must not pretend.
   pass = run_pass(t_start + 400);
-  if (quarantined_ids(pass.newly_quarantined) != offline_ids) {
-    fail(row, "pass 2: staleness quarantine membership wrong");
-  }
+  run.check(quarantined_ids(pass.newly_quarantined) == offline_ids,
+            "pass 2: staleness quarantine membership wrong");
   for (const auto& entry : pass.newly_quarantined) {
-    if (entry.reason != QuarantineReason::kStale) {
-      fail(row, "pass 2: staleness reason wrong");
-    }
+    run.check(entry.reason == QuarantineReason::kStale,
+              "pass 2: staleness reason wrong");
   }
   for (const auto& heal : pass.remediations) {
-    if (heal.reachable || heal.healed) {
-      fail(row, "pass 2: unreachable device 'remediated'");
-    }
+    run.check(!heal.reachable && !heal.healed,
+              "pass 2: unreachable device 'remediated'");
   }
-  if (pass.quarantined_after != offline_ids.size()) {
-    fail(row, "pass 2: stale devices not held in quarantine");
-  }
+  run.check(pass.quarantined_after == offline_ids.size(),
+            "pass 2: stale devices not held in quarantine");
 
   // Staleness histogram at the scenario's most contrasty moment: the
   // online seven-eighths beat clean moments ago, the offline eighth has
@@ -237,7 +191,7 @@ RowResult run_row(size_t threads, size_t devices) {
   // verdict (enrollment when there never was one).
   {
     const Tick now = fleet.clock().now();
-    row.staleness_hist.assign(kStalenessBuckets, 0);
+    out.staleness_hist.assign(kStalenessBuckets, 0);
     size_t over_threshold = 0;
     for (const FreshnessRecord& record : health.records()) {
       const Tick anchor =
@@ -250,151 +204,117 @@ RowResult run_row(size_t threads, size_t devices) {
           break;
         }
       }
-      ++row.staleness_hist[bucket];
+      ++out.staleness_hist[bucket];
       if (age > 250) ++over_threshold;  // the monitor's threshold
     }
-    if (over_threshold != offline_ids.size()) {
-      fail(row, "staleness histogram: over-threshold population wrong");
-    }
+    run.check(over_threshold == offline_ids.size(),
+              "staleness histogram: over-threshold population wrong");
   }
 
   // Pass 3: the stale devices come back online and heal -- reflash,
   // re-update onto the golden build, clean verdict, released.
   for (const std::string& id : offline_ids) fleet.at(id).set_online(true);
   pass = run_pass(t_start + 500);
-  if (pass.remediations.size() != offline_ids.size()) {
-    fail(row, "pass 3: remediation count wrong");
-  }
+  run.check(pass.remediations.size() == offline_ids.size(),
+            "pass 3: remediation count wrong");
   for (const auto& heal : pass.remediations) {
-    if (!heal.healed || heal.update.result != UpdateResult::kApplied ||
-        !heal.verdict.ok()) {
-      fail(row, "pass 3: stale device did not heal");
-    }
+    run.check(heal.healed && heal.update.result == UpdateResult::kApplied &&
+                  heal.verdict.ok(),
+              "pass 3: stale device did not heal");
   }
-  if (pass.quarantined_after != 0) fail(row, "pass 3: quarantine not empty");
+  run.check(pass.quarantined_after == 0, "pass 3: quarantine not empty");
 
   // Pass 4: steady state -- nothing new quarantines, every beat clean.
   pass = run_pass(t_start + 700);
-  if (!pass.newly_quarantined.empty() || pass.quarantined_after != 0) {
-    fail(row, "pass 4: steady state not clean");
-  }
+  run.check(pass.newly_quarantined.empty() && pass.quarantined_after == 0,
+            "pass 4: steady state not clean");
   for (const auto& beat : pass.heartbeats.beats) {
     for (const auto& verdict : beat.verdicts) {
-      if (!verdict.ok()) fail(row, "pass 4: verdict not ok");
+      run.check(verdict.ok(), "pass 4: verdict not ok");
     }
   }
-  row.heal_ms = ms_since(t0);
+  run.count("remediations", remediations);
+  uint64_t beats = 0;
+  uint64_t misses = 0;
+  for (const FreshnessRecord& record : health.records()) {
+    beats += record.heartbeats;
+    misses += record.misses;
+  }
+  run.count("heartbeats", beats);
+  run.count("heartbeat_misses", misses);
 
   // Healed devices genuinely run the golden build; untouched devices
   // were never moved off generation 0.
   for (size_t i = 0; i < devices; ++i) {
     DeviceSession& dev = fleet.at(device_id(i));
     const bool healed = forced_offline(i) || forced_diverged(i);
-    if (dev.shared_build().get() != (healed ? golden.get() : gen0.get())) {
-      fail(row, "final build placement wrong");
-    }
+    run.check(dev.shared_build().get() == (healed ? golden.get() : gen0.get()),
+              "final build placement wrong");
   }
-  return row;
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bool smoke = smoke_mode(argc, argv);
   const size_t devices = smoke ? 64 : 256;
-  const size_t kThreadCounts[] = {1, 2, 4, 8};
-
-  std::vector<RowResult> rows;
-  for (size_t threads : kThreadCounts) {
-    rows.push_back(run_row(threads, devices));
-  }
-  const RowResult& base = rows[0];
+  const int rounds = smoke ? 15 : 5;
+  PoolSweep pools;
+  Cells<RowOutcome> cells;
+  add_pool_rows(cells, pools, [devices](CellRun& run, common::ThreadPool& pool) {
+    return run_row(run, devices, pool);
+  });
+  cells.run(rounds);
 
   std::printf("Fleet health (%s): %zu devices, cadences {25,50,100} over "
-              "%llu ticks, 1/8 forced stale + 1/8 forced conviction\n",
+              "%llu ticks, 1/8 forced stale + 1/8 forced conviction, "
+              "%d rounds\n",
               smoke ? "smoke" : "full", devices,
-              static_cast<unsigned long long>(kHorizon));
-  std::printf("%7s | %12s | %14s | %12s | %8s\n", "threads", "cadence ms",
-              "self-heal ms", "verdicts/sec", "speedup");
-  bool ok = true;
-  for (const RowResult& row : rows) {
-    std::printf("%7zu | %12.2f | %14.2f | %12.0f | %7.2fx\n", row.threads,
-                row.cadence_ms, row.heal_ms,
-                row.cadence_ms > 0
-                    ? 1000.0 * static_cast<double>(row.verdicts) /
-                          row.cadence_ms
-                    : 0.0,
-                row.cadence_ms > 0 ? base.cadence_ms / row.cadence_ms : 0.0);
-    if (!row.gates_ok) {
-      std::printf("  !! threads=%zu: correctness gate failed\n", row.threads);
-      ok = false;
-    }
-    if (!(row.cadence_reports == base.cadence_reports) ||
-        !(row.heal_reports == base.heal_reports) ||
-        row.staleness_hist != base.staleness_hist) {
-      std::printf("  !! threads=%zu: reports diverge from the serial row\n",
-                  row.threads);
-      ok = false;
-    }
+              static_cast<unsigned long long>(kHorizon), rounds);
+  std::vector<Json> rows;
+  for (size_t row = 0; row < pools.size(); ++row) {
+    print_cell(cells, 0, row, {"cadence", "heal"}, "cadence");
+    const double verdicts = cells.counts(row).at("verdicts");
+    const double wall_ms = cells.stats(row, "cadence", &Sample::wall_ms).median;
+    Json json;
+    json.count("threads", pools.threads(row));
+    add_columns(json, cells, row, {"cadence", "heal"});
+    json.num("verdicts_per_sec", wall_ms > 0 ? 1000.0 * verdicts / wall_ms : 0.0,
+             0);
+    add_speedup(json, cells, 0, row, "cadence", "speedup");
+    rows.push_back(json.flag("gates_ok", cells.ok(row)));
   }
 
+  const RowOutcome& base = cells.result(0);
   std::printf("staleness histogram after pass 2 (ticks since last clean "
               "verdict):\n");
+  std::vector<Json> hist;
   for (size_t b = 0; b < kStalenessBuckets; ++b) {
-    if (b < kStalenessBuckets - 1) {
-      std::printf("  <= %4llu: %zu\n",
-                  static_cast<unsigned long long>(kStalenessEdges[b]),
-                  base.staleness_hist[b]);
+    const bool last = b == kStalenessBuckets - 1;
+    const Tick edge = kStalenessEdges[last ? b - 1 : b];
+    std::printf("  %s %4llu: %zu\n", last ? " >" : "<=",
+                static_cast<unsigned long long>(edge), base.staleness_hist[b]);
+    Json bucket;
+    if (last) {
+      bucket.null("le");
     } else {
-      std::printf("   > %4llu: %zu\n",
-                  static_cast<unsigned long long>(
-                      kStalenessEdges[kStalenessBuckets - 2]),
-                  base.staleness_hist[b]);
+      bucket.count("le", edge);
     }
+    hist.push_back(bucket.count("count", base.staleness_hist[b]));
   }
   std::printf("reports: %zu heartbeat + %zu health per row, bit-identical "
-              "across all thread counts\n",
+              "across all pool sizes\n",
               base.cadence_reports.size(), base.heal_reports.size());
 
-  std::string rows_json;
-  for (const RowResult& row : rows) {
-    char buf[320];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"threads\": %zu, \"cadence_ms\": %.2f, \"heal_ms\": %.2f, "
-        "\"verdicts_per_sec\": %.0f, \"speedup\": %.2f, \"gates_ok\": %s},\n",
-        row.threads, row.cadence_ms, row.heal_ms,
-        row.cadence_ms > 0
-            ? 1000.0 * static_cast<double>(row.verdicts) / row.cadence_ms
-            : 0.0,
-        row.cadence_ms > 0 ? base.cadence_ms / row.cadence_ms : 0.0,
-        row.gates_ok ? "true" : "false");
-    rows_json += buf;
-  }
-  if (!rows_json.empty()) rows_json.resize(rows_json.size() - 2);
-  std::string hist_json;
-  for (size_t b = 0; b < kStalenessBuckets; ++b) {
-    char buf[96];
-    std::snprintf(
-        buf, sizeof(buf), "    {\"le\": %s, \"count\": %zu},\n",
-        b < kStalenessBuckets - 1
-            ? std::to_string(kStalenessEdges[b]).c_str()
-            : "null",
-        base.staleness_hist[b]);
-    hist_json += buf;
-  }
-  if (!hist_json.empty()) hist_json.resize(hist_json.size() - 2);
-  FILE* json = std::fopen("BENCH_fleet_health.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"bench\": \"fleet_health\",\n  \"mode\": \"%s\",\n"
-                 "  \"devices\": %zu,\n  \"rows\": [\n%s\n  ],\n"
-                 "  \"staleness_histogram\": [\n%s\n  ],\n  \"ok\": %s\n}\n",
-                 smoke ? "smoke" : "full", devices, rows_json.c_str(),
-                 hist_json.c_str(), ok ? "true" : "false");
-    std::fclose(json);
-  }
-
+  const bool ok = cells.ok();
+  report("fleet_health", smoke, rounds)
+      .count("pool_cap", pools.cap())
+      .count("devices", devices)
+      .array("rows", rows)
+      .array("staleness_histogram", hist)
+      .flag("ok", ok)
+      .write("BENCH_fleet_health.json");
   std::printf("%s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

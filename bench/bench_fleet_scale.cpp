@@ -1,77 +1,42 @@
 // Fleet-scale baseline for the parallel engine: 256 CFA-attested
 // devices from 4 cached builds (64 per Table IV app), provisioned,
-// simulated to halt, and batch-verified twice -- once per thread count
-// in {1, 2, 4, 8}. The 1-thread row drives the serial engine paths
-// (plain loops, serial verify_all()); the other rows fan out through
-// common::ThreadPool (device registry + single-flight cache under
-// real contention, apps::run_workload_all(), pooled verify_all()).
+// simulated to halt, and batch-verified twice -- once per pool size in
+// the {1, 2, 4} sweep capped at the host's hardware threads
+// (bench_util.h). The 1-thread row runs the same pooled calls on
+// ThreadPool::inline_pool(); the other rows fan out through
+// common::ThreadPool (device registry + single-flight cache under real
+// contention, apps::run_workload_all(), pooled verify_all()).
 //
 // Correctness gates (the bench FAILS on any violation):
 //   - every device reaches halt with a passing host check,
-//   - every attestation verdict is ok(),
+//   - every attestation verdict is ok(), in enrollment-id order,
+//   - the four apps cost exactly four pipeline runs,
 //   - each row's verdict tuples are byte-identical to the 1-thread
-//     serial row's, in enrollment-id order.
-// Wall-clock speedups are reported but not gated: they depend on the
-// host's core count (this box may be single-core CI).
-#include <algorithm>
-#include <chrono>
+//     row's, and every round repeats round 0's.
+// Phases are timed in CPU time over two interleaved rounds (the second
+// must repeat the first); each row prints its phases and the simulate
+// phase's CPU-work and wall ratios over the 1-thread row, not gated.
 #include <cstdio>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/apps/apps.h"
-#include "src/common/thread_pool.h"
 #include "src/eilid/fleet.h"
 
 using namespace eilid;
+using namespace eilid::bench;
 
 namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double ms_since(clock_type::time_point start) {
-  return std::chrono::duration<double, std::milli>(clock_type::now() - start)
-      .count();
-}
 
 constexpr int kDevicesPerApp = 64;
 const char* kAppNames[4] = {"light_sensor", "temp_sensor", "charlieplexing",
                             "lcd_sensor"};
+const std::vector<std::string> kPhases = {"provision", "simulate", "attest"};
 
-// One attestation verdict, flattened for cross-run comparison. Nonces
-// differ between runs by design (they only feed the MAC), so they are
-// deliberately absent.
-std::string verdict_fingerprint(const VerifierService::AttestResult& r) {
-  std::ostringstream s;
-  s << r.device_id << '|' << r.attested << '|' << r.seq << '|' << r.cycle
-    << '|' << r.mac_ok << '|' << r.seq_ok << '|' << r.path_ok << '|'
-    << r.edges << '|' << r.dropped;
-  return s.str();
-}
-
-struct RowResult {
-  size_t threads = 0;
-  double provision_ms = 0;
-  double simulate_ms = 0;
-  double attest_ms = 0;
-  size_t devices = 0;
-  size_t pipeline_runs = 0;
-  size_t cache_hits = 0;
-  size_t halted = 0;
-  size_t check_failures = 0;
-  size_t verdict_failures = 0;
-  bool ordered = true;
-  std::vector<std::string> fingerprints;  // sweep 1 then sweep 2
-};
-
-RowResult run_row(size_t threads) {
-  RowResult row;
-  row.threads = threads;
-  const bool serial = threads == 1;
-  common::ThreadPool pool(threads);
-
+// One row: provision, simulate and attest a fresh fleet over `pool`;
+// returns the verdict tuples of both sweeps.
+std::vector<std::string> run_row(CellRun& run, common::ThreadPool& pool) {
   Fleet fleet;
   std::vector<std::string> ids;
   std::vector<const apps::AppSpec*> specs;
@@ -83,99 +48,65 @@ RowResult run_row(size_t threads) {
     }
   }
 
-  // --- provision: 256 sessions, 4 pipeline runs (single-flight) ----
-  auto t0 = clock_type::now();
   std::vector<apps::FleetWorkload> work(ids.size());
-  auto provision_one = [&](size_t i) {
-    DeviceSession& dev = fleet.provision(
-        ids[i], specs[i]->source, specs[i]->name,
-        EnforcementPolicy::kCfaBaseline, {.cfa = {.log_capacity = 1 << 17}});
-    work[i] = {&dev, specs[i], 0};
-  };
-  if (serial) {
-    for (size_t i = 0; i < ids.size(); ++i) provision_one(i);
-  } else {
-    pool.parallel_for(ids.size(), provision_one);
-  }
-  row.provision_ms = ms_since(t0);
-  row.devices = fleet.size();
-  row.pipeline_runs = fleet.pipeline_runs();
-  row.cache_hits = fleet.build_cache_hits();
+  run.time("provision", [&] {
+    pool.parallel_for(ids.size(), [&](size_t i) {
+      DeviceSession& dev = fleet.provision(
+          ids[i], specs[i]->source, specs[i]->name,
+          EnforcementPolicy::kCfaBaseline, {.cfa = {.log_capacity = 1 << 17}});
+      work[i] = {&dev, specs[i], 0};
+    });
+  });
+  run.check(fleet.size() == ids.size() && fleet.pipeline_runs() == 4,
+            "provisioning lost devices or repeated a pipeline run");
 
-  // --- simulate every device to its halt label ---------------------
-  auto tr = clock_type::now();
   std::vector<apps::WorkloadOutcome> outcomes;
-  if (serial) {
-    outcomes.reserve(work.size());
-    for (const auto& item : work) {
-      outcomes.push_back(apps::run_workload(*item.session, *item.app));
-    }
-  } else {
-    outcomes = apps::run_workload_all(work, pool);
-  }
-  row.simulate_ms = ms_since(tr);
+  run.time("simulate", [&] { outcomes = apps::run_workload_all(work, pool); });
   for (const auto& outcome : outcomes) {
-    if (outcome.reached_halt) ++row.halted;
-    if (!outcome.check_failure.empty()) ++row.check_failures;
+    run.check(outcome.reached_halt && outcome.check_failure.empty(),
+              "device did not halt cleanly");
   }
 
-  // --- attest: two full sweeps (drained logs, then empty logs) -----
-  auto ta = clock_type::now();
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    std::vector<VerifierService::AttestResult> verdicts =
-        serial ? fleet.verifier().verify_all()
-               : fleet.verifier().verify_all(pool);
-    for (size_t i = 0; i < verdicts.size(); ++i) {
-      if (!verdicts[i].ok()) ++row.verdict_failures;
-      if (i > 0 && !(verdicts[i - 1].device_id < verdicts[i].device_id)) {
-        row.ordered = false;
-      }
-      row.fingerprints.push_back(verdict_fingerprint(verdicts[i]));
+  // Two full sweeps: drained logs, then empty logs.
+  std::vector<VerifierService::AttestResult> verdicts;
+  run.time("attest", [&] {
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      auto swept = fleet.verifier().verify_all(pool);
+      verdicts.insert(verdicts.end(), swept.begin(), swept.end());
     }
+  });
+  std::vector<std::string> fingerprints;
+  for (size_t i = 0; i < verdicts.size(); ++i) {
+    run.check(verdicts[i].ok(), "verdict not ok");
+    run.check(i % ids.size() == 0 ||
+                  verdicts[i - 1].device_id < verdicts[i].device_id,
+              "verdicts not in enrollment-id order");
+    fingerprints.push_back(verdict_fingerprint(verdicts[i]));
   }
-  row.attest_ms = ms_since(ta);
-  return row;
+  run.count("verdicts", fingerprints.size());
+  return fingerprints;
 }
 
 }  // namespace
 
 int main() {
-  const size_t kThreadCounts[] = {1, 2, 4, 8};
-  std::vector<RowResult> rows;
-  for (size_t threads : kThreadCounts) rows.push_back(run_row(threads));
-  const RowResult& base = rows[0];
+  const int rounds = 2;
+  PoolSweep pools;
+  Cells<std::vector<std::string>> cells;
+  add_pool_rows(cells, pools, run_row);
+  cells.run(rounds);
 
-  std::printf("Fleet parallel scale: %zu devices, %zu pipeline runs "
-              "(%zu cache hits) per run\n",
-              base.devices, base.pipeline_runs, base.cache_hits);
-  std::printf("%7s | %12s | %12s | %12s | %11s | %11s\n", "threads",
-              "provision ms", "simulate ms", "attest ms", "sim speedup",
-              "att speedup");
-  bool ok = true;
-  for (const RowResult& row : rows) {
-    std::printf("%7zu | %12.1f | %12.1f | %12.1f | %10.2fx | %10.2fx\n",
-                row.threads, row.provision_ms, row.simulate_ms, row.attest_ms,
-                row.simulate_ms > 0 ? base.simulate_ms / row.simulate_ms : 0.0,
-                row.attest_ms > 0 ? base.attest_ms / row.attest_ms : 0.0);
-    if (row.halted != row.devices || row.check_failures != 0 ||
-        row.verdict_failures != 0 || !row.ordered ||
-        row.pipeline_runs != 4 || row.devices != base.devices) {
-      std::printf("  !! threads=%zu: %zu/%zu halted, %zu check failures, "
-                  "%zu verdict failures, %zu pipeline runs, ordered=%d\n",
-                  row.threads, row.halted, row.devices, row.check_failures,
-                  row.verdict_failures, row.pipeline_runs,
-                  row.ordered ? 1 : 0);
-      ok = false;
-    }
-    if (row.fingerprints != base.fingerprints) {
-      std::printf("  !! threads=%zu: verdicts diverge from the serial run\n",
-                  row.threads);
-      ok = false;
-    }
+  std::printf("Fleet parallel scale: %zu devices, 4 pipeline runs per row, "
+              "%d rounds, CPU ms median [q1, q3], ratios for simulate\n",
+              std::size(kAppNames) * kDevicesPerApp, rounds);
+  for (size_t row = 0; row < pools.size(); ++row) {
+    print_cell(cells, 0, row, kPhases, "simulate");
   }
-  std::printf("verdicts: %zu per run, identical across all thread counts, "
+  std::printf("verdicts: %zu per row, identical across all pool sizes, "
               "enrollment-id ordered\n",
-              base.fingerprints.size());
+              cells.result(0).size());
+
+  const bool ok = cells.ok();
   std::printf("%s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -7,6 +7,8 @@
 // gadget-repointed dispatch tables, tampered reports, bit-flipped
 // packages, corrupted chunk streams) must be convicted or refused. Any
 // divergence FAILS the bench and prints the reproducing seed on stderr.
+// The soak runs once, as one cell of the bench_util.h harness; its
+// thread CPU time is reported, not gated.
 //
 // Reproduce a failure:
 //   bench_fuzz_soak --seed 0x<printed seed> --programs 1 --mutations 1
@@ -17,26 +19,18 @@
 //   --smoke: the CI-sized bounded corpus (500 programs x 2 engines x 4
 //   policies, plus >= 200 mutated cases); default is the larger local
 //   soak.
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <vector>
 
+#include "bench/bench_util.h"
 #include "src/fuzz/harness.h"
 
 using namespace eilid;
-
-namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double ms_since(clock_type::time_point start) {
-  return std::chrono::duration<double, std::milli>(clock_type::now() - start)
-      .count();
-}
-
-}  // namespace
+using namespace eilid::bench;
 
 int main(int argc, char** argv) {
   bool smoke = false;
@@ -62,16 +56,27 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
   std::printf("Scenario-fuzzer soak (%s: %d programs, %d mutation seeds, "
               "base seed 0x%llx)\n",
               smoke ? "smoke" : "full", options.programs, options.mutations,
               static_cast<unsigned long long>(options.seed));
 
-  fuzz::DifferentialHarness harness(options);
-  const auto t0 = clock_type::now();
-  const fuzz::HarnessReport report = harness.run();
-  const double wall_ms = ms_since(t0);
+  // One cell, run once: the same seed explores the same corpus.
+  fuzz::HarnessReport report_out;
+  Cells<std::vector<std::string>> cells;
+  cells.add("soak", 1, [&](CellRun& run) {
+    fuzz::DifferentialHarness harness(options);
+    run.time("soak", [&] { report_out = harness.run(); });
+    run.count("programs", static_cast<uint64_t>(report_out.programs));
+    run.count("engine_runs", static_cast<uint64_t>(report_out.engine_runs));
+    run.count("mutation_cases",
+              static_cast<uint64_t>(report_out.mutation_cases));
+    run.count("convicted", static_cast<uint64_t>(report_out.convicted));
+    run.count("refused", static_cast<uint64_t>(report_out.refused));
+    return report_out.failures;
+  });
+  cells.run(1);
+  const fuzz::HarnessReport& report = report_out;
 
   std::printf("\n%-28s %d\n", "programs checked", report.programs);
   std::printf("%-28s %d\n", "engine x policy runs", report.engine_runs);
@@ -79,14 +84,14 @@ int main(int argc, char** argv) {
   std::printf("%-28s %d\n", "  convicted by CFA replay", report.convicted);
   std::printf("%-28s %d\n", "  refused up front", report.refused);
   std::printf("%-28s %zu\n", "divergences", report.failures.size());
-  std::printf("%-28s %.1f ms\n", "wall clock", wall_ms);
+  std::printf("%-28s %.1f ms\n", "CPU time", cells.stats(0, "soak").median);
 
   // The run only counts if it exercised what it claims: when a flag
   // combination (or a mutator planning drought) shrinks the corpus
   // below the advertised floor, fail loudly instead of gating green on
   // a near-empty sweep. Floors apply to the named presets, not to
   // explicit --programs/--mutations reproduce runs.
-  bool ok = report.ok();
+  bool ok = report.ok() && cells.ok();
   if (smoke) {
     if (report.programs < 500 || report.mutation_cases < 200) {
       std::printf("!! smoke corpus floor violated: %d programs, %d mutated "
@@ -96,23 +101,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  FILE* json = std::fopen("BENCH_fuzz_soak.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"bench\": \"fuzz_soak\",\n  \"mode\": \"%s\",\n"
-                 "  \"seed\": %llu,\n"
-                 "  \"rows\": [\n"
-                 "    {\"policy\": \"all\", \"programs\": %d, "
-                 "\"engine_runs\": %d, \"mutation_cases\": %d, "
-                 "\"convicted\": %d, \"refused\": %d, \"wall_ms\": %.1f}\n"
-                 "  ],\n  \"ok\": %s\n}\n",
-                 smoke ? "smoke" : "full",
-                 static_cast<unsigned long long>(options.seed),
-                 report.programs, report.engine_runs, report.mutation_cases,
-                 report.convicted, report.refused, wall_ms,
-                 ok ? "true" : "false");
-    std::fclose(json);
-  }
+  Json row;
+  row.text("policy", "all");
+  add_columns(row, cells, 0, {"soak"});
+  bench::report("fuzz_soak", smoke, 1)
+      .count("seed", options.seed)
+      .array("rows", {row})
+      .flag("ok", ok)
+      .write("BENCH_fuzz_soak.json");
 
   if (!ok && !report.failures.empty()) {
     std::fprintf(stderr,

@@ -1,95 +1,68 @@
 // Lossy-transport OTA throughput: a fleet of CFA-attested devices is
 // moved to the next firmware over the chunked simulated pipe, once per
-// (thread count x loss rate) cell -- threads in {1, 2, 4, 8}, chunk
-// drop rates in {0, 1%, 5%} (0 / 10 / 50 per mille, with corruption at
-// half the drop rate riding along). The 1-thread row of each loss rate
-// drives the serial rollout; the others fan out over
-// common::ThreadPool with per-device locking. Fault streams are keyed
-// per device (common::SeededRng::keyed(seed, device_id)), which is
-// what the determinism gate exercises at scale.
+// (pool size x loss rate) cell -- pool sizes in the {1, 2, 4} sweep
+// capped at the host's hardware threads (bench_util.h), chunk drop
+// rates in {0, 1%, 5%} (0 / 10 / 50 per mille, with corruption at half
+// the drop rate riding along). The 1-thread row of each loss rate runs
+// the same pooled rollout on ThreadPool::inline_pool(); the others fan
+// out over common::ThreadPool with per-device locking. Fault streams
+// are keyed per device (common::SeededRng::keyed(seed, device_id)),
+// which is what the determinism gate exercises at scale.
 //
 // Correctness gates (the bench FAILS on any violation):
 //   - every delivery converges to kApplied within the retry budget,
 //     at every loss rate,
-//   - post-rollout, every device attests ok() against the new CFG,
+//   - the rollout returns one outcome and the post-rollout sweep one
+//     verdict per device, and every device attests ok() against the
+//     new CFG,
 //   - lossy rows really retransmitted (the pipe was not a no-op),
-//   - each pooled row's outcome tuples -- attempts, resumes and
+//   - each pooled cell's outcome tuples -- attempts, resumes and
 //     retransmit counts included -- are identical to that loss rate's
-//     serial row, in input order (transport determinism).
-// Rollout times are reported but not gated (host-dependent); the
-// committed JSON gates only speedup *ratios* via
-// scripts/check_bench_regression.py.
+//     1-thread cell, in input order (transport determinism), and every
+//     round repeats round 0's.
+// Rollouts are timed in CPU time over interleaved rounds. The pooled
+// cells are gated on the work the program counts: the `count_*`
+// columns (bytes shipped and retransmitted, delivery attempts,
+// post-rollout verdicts) must match the 1-thread cell's exactly, and
+// scripts/check_bench_regression.py gates them exactly. The CPU-work
+// ratio (`cpu_speedup_loss*`, the 1-thread cell's CPU / this cell's)
+// and `wall_speedup_loss*` are recorded, not gated.
 //
 // Results land in BENCH_ota_transport.json (committed at the repo
 // root; regenerate with a full-mode Release run).
 //
 // Usage: bench_ota_transport [--smoke]   (--smoke: CI-sized fleet)
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "src/common/thread_pool.h"
+#include "bench/bench_util.h"
 #include "src/eilid/fleet.h"
 #include "src/eilid/transport.h"
 
 using namespace eilid;
+using namespace eilid::bench;
 
 namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double ms_since(clock_type::time_point start) {
-  return std::chrono::duration<double, std::milli>(clock_type::now() - start)
-      .count();
-}
 
 // Generations differ by hundreds of unrolled calls, so the build diff
 // spans most of the image (`emit` shifts, re-pointing every call site)
 // and each delivery ships dozens of chunks -- enough per-device work
 // for the thread-scaling ratios to mean something.
-std::string firmware(int generation) {
-  std::string s = R"(.equ UART_TX, 0x0130
-.org 0xE000
-main:
-    mov #0x1000, r1
-)";
-  for (int i = 0; i < 128 * (generation + 1); ++i) s += "    call #emit\n";
-  s += R"(halt:
-    jmp halt
-emit:
-    mov.b #')";
-  s += static_cast<char>('0' + generation);
-  s += R"(', &UART_TX
-    ret
-.vector 15, main
-.end
-)";
-  return s;
-}
+constexpr int kCallsPerGeneration = 128;
 
 constexpr uint32_t kLossPerMille[] = {0, 10, 50};
-constexpr size_t kLossRates = sizeof(kLossPerMille) / sizeof(kLossPerMille[0]);
 
-struct CellResult {
-  double rollout_ms = 0;
-  size_t applied = 0;
-  size_t attest_ok = 0;
-  size_t bytes_retransmitted = 0;
-  std::vector<UpdateOutcome> outcomes;  // compared field-wise across rows
-};
-
-CellResult run_cell_once(size_t threads, size_t devices,
-                         uint32_t loss_per_mille) {
-  CellResult cell;
-  const bool serial = threads == 1;
-  common::ThreadPool pool(threads);
-
+// One cell: a fresh fleet moved to generation 2 over `pool` through a
+// pipe losing `loss_per_mille`. Returns the campaign outcomes.
+std::vector<UpdateOutcome> run_cell(CellRun& run, size_t devices,
+                                    uint32_t loss_per_mille,
+                                    common::ThreadPool& pool) {
   Fleet fleet;
   for (size_t i = 0; i < devices; ++i) {
     DeviceSession& dev =
-        fleet.provision("dev-" + std::to_string(i), firmware(1), "fw",
+        fleet.provision("dev-" + std::to_string(i),
+                        firmware(1, kCallsPerGeneration), "fw",
                         EnforcementPolicy::kCfaBaseline);
     dev.run_to_symbol("halt", 100000);
   }
@@ -103,138 +76,92 @@ CellResult run_cell_once(size_t threads, size_t devices,
                       .corrupt_per_mille = loss_per_mille / 2};
   options.transport = transport;
   UpdateCampaign campaign =
-      fleet.stage_update(firmware(2), "fw", {.eilid = false}, options);
+      fleet.stage_update(firmware(2, kCallsPerGeneration), "fw",
+                         {.eilid = false}, options);
 
-  auto t0 = clock_type::now();
-  std::vector<UpdateOutcome> outcomes =
-      serial ? campaign.roll_out() : campaign.roll_out(pool);
-  cell.rollout_ms = ms_since(t0);
+  const std::string loss = "loss" + std::to_string(loss_per_mille / 10);
+  std::vector<UpdateOutcome> outcomes;
+  run.time(loss, [&] { outcomes = campaign.roll_out(pool); });
 
+  uint64_t payload = 0;
+  uint64_t retransmitted = 0;
+  uint64_t attempts = 0;
   for (const auto& outcome : outcomes) {
-    if (outcome.result == UpdateResult::kApplied && outcome.build_swapped) {
-      ++cell.applied;
-    }
-    cell.bytes_retransmitted += outcome.bytes_retransmitted;
+    run.check(outcome.result == UpdateResult::kApplied && outcome.build_swapped,
+              "delivery did not converge to kApplied");
+    payload += outcome.payload_bytes;
+    retransmitted += outcome.bytes_retransmitted;
+    attempts += outcome.attempts;
   }
-  cell.outcomes = std::move(outcomes);
-  std::vector<VerifierService::AttestResult> verdicts =
-      serial ? fleet.verifier().verify_all()
-             : fleet.verifier().verify_all(pool);
+  run.check(outcomes.size() == devices, "rollout lost devices");
+  run.check(loss_per_mille == 0 || retransmitted > 0,
+            "no retransmissions -- the lossy pipe did nothing");
+  const auto verdicts = fleet.verifier().verify_all(pool);
+  run.check(verdicts.size() == devices, "post-rollout sweep lost devices");
   for (const auto& verdict : verdicts) {
-    if (verdict.ok()) ++cell.attest_ok;
+    run.check(verdict.ok(), "post-rollout verdict not ok");
   }
-  return cell;
+  run.count("verdicts_" + loss, verdicts.size());
+  run.count("payload_bytes_" + loss, payload);
+  run.count("bytes_retransmitted_" + loss, retransmitted);
+  run.count("attempts_" + loss, attempts);
+  return outcomes;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bool smoke = smoke_mode(argc, argv);
   const size_t devices = smoke ? 64 : 256;
-  const size_t kThreadCounts[] = {1, 2, 4, 8};
+  const int rounds = smoke ? 21 : 5;
+  PoolSweep pools;
 
-  // cells[loss][row] -- each loss rate has its own serial baseline.
-  // Min-of-5, with the repeats INTERLEAVED across cells (every cell
-  // samples every stretch of host-frequency weather, so the speedup
-  // ratios feeding the committed regression gate stay stable). Repeats
-  // must produce bit-identical outcomes -- same seed, same fleet --
-  // checked as one more determinism gate; a divergence zeroes the
-  // cell's applied count, which fails the run below.
-  std::vector<std::vector<CellResult>> cells(kLossRates);
-  for (int repeat = 0; repeat < 5; ++repeat) {
-    for (size_t l = 0; l < kLossRates; ++l) {
-      for (size_t r = 0; r < 4; ++r) {
-        CellResult next =
-            run_cell_once(kThreadCounts[r], devices, kLossPerMille[l]);
-        if (repeat == 0) {
-          cells[l].push_back(std::move(next));
-          continue;
-        }
-        CellResult& best = cells[l][r];
-        if (next.outcomes != best.outcomes) {
-          std::printf("  !! threads=%zu loss=%upm: repeat %d diverged from "
-                      "repeat 0\n",
-                      kThreadCounts[r], kLossPerMille[l], repeat);
-          best.applied = 0;
-        }
-        if (next.rollout_ms < best.rollout_ms) {
-          best.rollout_ms = next.rollout_ms;
-        }
-      }
-    }
+  // cell(l, row): loss rate l on pool row `row`; each loss rate's
+  // 1-thread cell is the base of its row.
+  Cells<std::vector<UpdateOutcome>> cells;
+  auto cell = [&pools](size_t l, size_t row) { return l * pools.size() + row; };
+  for (uint32_t pm : kLossPerMille) {
+    add_pool_rows(
+        cells, pools,
+        [devices, pm](CellRun& run, common::ThreadPool& pool) {
+          return run_cell(run, devices, pm, pool);
+        },
+        " loss=" + std::to_string(pm) + "pm");
   }
+  cells.run(rounds);
 
   std::printf("OTA transport (%s): %zu devices, chunked lossy pipe, "
-              "drop rates 0%%/1%%/5%%\n",
-              smoke ? "smoke" : "full", devices);
-  std::printf("%7s |", "threads");
-  for (uint32_t pm : kLossPerMille) std::printf("  loss %2u%% ms | speedup |", pm / 10);
-  std::printf("\n");
-
-  bool ok = true;
-  std::string rows_json;
-  for (size_t r = 0; r < 4; ++r) {
-    const size_t threads = kThreadCounts[r];
-    std::printf("%7zu |", threads);
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "    {\"threads\": %zu", threads);
-    rows_json += buf;
+              "drop rates 0%%/1%%/5%%, %d rounds, CPU ms median "
+              "[q1, q3]\n",
+              smoke ? "smoke" : "full", devices, rounds);
+  std::vector<Json> rows;
+  for (size_t row = 0; row < pools.size(); ++row) {
+    Json json;
+    json.count("threads", pools.threads(row));
     bool gates_ok = true;
-    for (size_t l = 0; l < kLossRates; ++l) {
-      const CellResult& cell = cells[l][r];
-      const CellResult& base = cells[l][0];
-      const double speedup =
-          cell.rollout_ms > 0 ? base.rollout_ms / cell.rollout_ms : 0.0;
-      std::printf("  %11.2f | %6.2fx |", cell.rollout_ms, speedup);
-      std::snprintf(buf, sizeof(buf),
-                    ", \"loss%u_ms\": %.2f, \"speedup_loss%u\": %.2f",
-                    kLossPerMille[l] / 10, cell.rollout_ms,
-                    kLossPerMille[l] / 10, speedup);
-      rows_json += buf;
-
-      if (cell.applied != devices || cell.attest_ok != devices) {
-        std::printf("\n  !! threads=%zu loss=%upm: %zu/%zu applied, "
-                    "%zu attested ok\n",
-                    threads, kLossPerMille[l], cell.applied, devices,
-                    cell.attest_ok);
-        gates_ok = false;
-      }
-      if (kLossPerMille[l] > 0 && cell.bytes_retransmitted == 0) {
-        std::printf("\n  !! threads=%zu loss=%upm: no retransmissions -- "
-                    "the lossy pipe did nothing\n",
-                    threads, kLossPerMille[l]);
-        gates_ok = false;
-      }
-      if (cell.outcomes != base.outcomes) {
-        std::printf("\n  !! threads=%zu loss=%upm: outcomes diverge from "
-                    "the serial row\n",
-                    threads, kLossPerMille[l]);
-        gates_ok = false;
-      }
+    for (size_t l = 0; l < std::size(kLossPerMille); ++l) {
+      const std::string loss = "loss" + std::to_string(kLossPerMille[l] / 10);
+      print_cell(cells, cell(l, 0), cell(l, row), {loss}, loss);
+      add_columns(json, cells, cell(l, row), {loss});
+      add_speedup(json, cells, cell(l, 0), cell(l, row), loss, "speedup_" + loss);
+      gates_ok = gates_ok && cells.ok(cell(l, row));
     }
-    std::printf("\n");
-    std::snprintf(buf, sizeof(buf), ", \"gates_ok\": %s},\n",
-                  gates_ok ? "true" : "false");
-    rows_json += buf;
-    ok = ok && gates_ok;
+    rows.push_back(json.flag("gates_ok", gates_ok));
   }
-  if (!rows_json.empty()) rows_json.resize(rows_json.size() - 2);
-  std::printf("retransmitted at 5%% loss (serial): %zu bytes over %zu "
-              "devices\n",
-              cells[2][0].bytes_retransmitted, devices);
-  std::printf("outcomes per cell identical across all thread counts: %s\n",
+  const bool ok = cells.ok();
+  std::printf("retransmitted at 5%% loss: %llu bytes over %zu devices\n",
+              static_cast<unsigned long long>(
+                  cells.counts(cell(2, 0)).at("bytes_retransmitted_loss5")),
+              devices);
+  std::printf("outcomes per cell identical across all pool sizes: %s\n",
               ok ? "yes" : "NO");
 
-  FILE* json = std::fopen("BENCH_ota_transport.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"bench\": \"ota_transport\",\n  \"mode\": \"%s\",\n"
-                 "  \"devices\": %zu,\n  \"rows\": [\n%s\n  ],\n"
-                 "  \"ok\": %s\n}\n",
-                 smoke ? "smoke" : "full", devices, rows_json.c_str(),
-                 ok ? "true" : "false");
-    std::fclose(json);
-  }
+  report("ota_transport", smoke, rounds)
+      .count("pool_cap", pools.cap())
+      .count("devices", devices)
+      .array("rows", rows)
+      .flag("ok", ok)
+      .write("BENCH_ota_transport.json");
   std::printf("%s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -2,9 +2,10 @@
 // v1, half on v2) rolled onto v3 through Fleet::plan_rollout() with a
 // 4-wave canary plan -- an explicit 4-device canary, then 25% / 50% /
 // the rest -- an 8-device A/B hold, a rate limit, and an attestation
-// gate after every wave. Each thread count in {1, 2, 4, 8} runs the
-// full plan (1 = the serial scheduler); a second, adversarial pass per
-// thread count forges one canary's transport under a zero failure
+// gate after every wave. Each pool size in the {1, 2, 4} sweep capped
+// at the host's hardware threads (bench_util.h; 1 = the same scheduler
+// on ThreadPool::inline_pool()) runs the full plan; a second,
+// adversarial pass forges one canary's transport under a zero failure
 // budget, so the timed path includes a halting run.
 //
 // Correctness gates (the bench FAILS on any violation):
@@ -13,70 +14,30 @@
 //   - held cohort devices never move, in both passes,
 //   - halting plan: exactly wave 1 applied, the forged canary is
 //     kBadMac, later waves' devices still run their old build,
-//   - each thread count's reports (clean and halting) are bit-identical
-//     to the serial reports (rollout determinism).
-// Devices/sec are reported but not gated (host-dependent).
+//   - each pool size's reports (clean and halting) are bit-identical
+//     to the 1-thread row's (rollout determinism), and every round
+//     repeats round 0's.
+// Both passes are timed in CPU time over two interleaved rounds (the
+// second must repeat the first); their CPU-work and wall ratios over
+// the 1-thread row are printed, not gated.
 //
 // Usage: bench_rollout [--smoke]   (--smoke: CI-sized fleet)
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/common/thread_pool.h"
+#include "bench/bench_util.h"
 #include "src/eilid/fleet.h"
 #include "src/eilid/rollout.h"
 
 using namespace eilid;
+using namespace eilid::bench;
 
 namespace {
 
-using clock_type = std::chrono::steady_clock;
-
-double ms_since(clock_type::time_point start) {
-  return std::chrono::duration<double, std::milli>(clock_type::now() - start)
-      .count();
-}
-
-std::string firmware(int generation) {
-  std::string s = R"(.equ UART_TX, 0x0130
-.org 0xE000
-main:
-    mov #0x1000, r1
-)";
-  for (int i = 0; i < generation + 1; ++i) s += "    call #emit\n";
-  s += R"(halt:
-    jmp halt
-emit:
-    mov.b #')";
-  s += static_cast<char>('0' + generation);
-  s += R"(', &UART_TX
-    ret
-.vector 15, main
-.end
-)";
-  return s;
-}
-
-std::string device_id(size_t i) {
-  char buf[32];  // worst-case %zu needs more than 16 (-Wformat-truncation)
-  std::snprintf(buf, sizeof(buf), "dev-%03zu", i);
-  return buf;
-}
-
 constexpr size_t kHeld = 8;       // trailing devices pinned in the A/B hold
 constexpr size_t kCanaries = 4;   // explicit first wave
-
-struct RowResult {
-  size_t threads = 0;
-  size_t devices = 0;
-  double clean_ms = 0;
-  double halting_ms = 0;
-  bool gates_ok = true;
-  RolloutReport clean;    // compared field-wise across rows
-  RolloutReport halting;  // ditto
-};
 
 RolloutPlan make_plan(size_t devices) {
   RolloutPlan plan;
@@ -97,13 +58,10 @@ RolloutPlan make_plan(size_t devices) {
   return plan;
 }
 
-RowResult run_row(size_t threads, size_t devices) {
-  RowResult row;
-  row.threads = threads;
-  row.devices = devices;
-  const bool serial = threads == 1;
-  common::ThreadPool pool(threads);
-
+// One row: the clean pass then the halting pass, each on a fresh
+// fleet, scheduled over `pool`. Returns both reports.
+std::pair<RolloutReport, RolloutReport> run_row(CellRun& run, size_t devices,
+                                                common::ThreadPool& pool) {
   auto build_fleet = [&](Fleet& fleet) {
     for (size_t i = 0; i < devices; ++i) {
       DeviceSession& dev = fleet.provision(
@@ -112,6 +70,7 @@ RowResult run_row(size_t threads, size_t devices) {
       dev.run_to_symbol("halt", 100000);
     }
   };
+  std::pair<RolloutReport, RolloutReport> reports;
 
   // --- clean pass: the plan completes, every wave gated. ---
   {
@@ -120,27 +79,29 @@ RowResult run_row(size_t threads, size_t devices) {
     auto target = fleet.build(firmware(3), "fw", {.eilid = false});
     CampaignScheduler scheduler =
         fleet.plan_rollout(target, make_plan(devices));
-    auto t0 = clock_type::now();
-    row.clean = serial ? scheduler.run() : scheduler.run(pool);
-    row.clean_ms = ms_since(t0);
+    RolloutReport& clean = reports.first;
+    run.time("clean", [&] { clean = scheduler.run(pool); });
 
-    if (row.clean.halted || row.clean.waves_applied != 4) row.gates_ok = false;
+    run.check(!clean.halted && clean.waves_applied == 4,
+              "clean plan halted or skipped a wave");
     size_t gated_ok = 0;
-    for (const WaveOutcome& wave : row.clean.waves) {
+    for (const WaveOutcome& wave : clean.waves) {
       for (const auto& verdict : wave.gate) {
         if (verdict.ok()) ++gated_ok;
       }
       for (const auto& update : wave.updates) {
-        if (update.result != UpdateResult::kApplied) row.gates_ok = false;
+        run.check(update.result == UpdateResult::kApplied,
+                  "clean plan update not applied");
       }
     }
-    if (gated_ok != devices - kHeld) row.gates_ok = false;
+    run.check(gated_ok == devices - kHeld, "wave gate verdict count wrong");
     for (size_t i = 0; i < devices; ++i) {
       DeviceSession& dev = fleet.at(device_id(i));
       const bool held = i >= devices - kHeld;
       const bool on_target = dev.shared_build().get() == target.get();
-      if (held == on_target) row.gates_ok = false;
+      run.check(held != on_target, "held device moved or free device stayed");
     }
+    run.count("clean_waves", clean.waves_applied);
   }
 
   // --- halting pass: forged canary, zero budget. ---
@@ -155,66 +116,47 @@ RowResult run_row(size_t threads, size_t devices) {
     };
     CampaignScheduler scheduler =
         fleet.plan_rollout(target, make_plan(devices), options);
-    auto t0 = clock_type::now();
-    row.halting = serial ? scheduler.run() : scheduler.run(pool);
-    row.halting_ms = ms_since(t0);
+    RolloutReport& halting = reports.second;
+    run.time("halting", [&] { halting = scheduler.run(pool); });
 
-    if (!row.halting.halted || row.halting.waves_applied != 1) {
-      row.gates_ok = false;
-    }
-    if (row.halting.waves.empty() ||
-        row.halting.waves[0].updates.empty() ||
-        row.halting.waves[0].updates[0].result != UpdateResult::kBadMac) {
-      row.gates_ok = false;
-    }
+    run.check(halting.halted && halting.waves_applied == 1,
+              "halting plan did not stop after wave 1");
+    run.check(!halting.waves.empty() && !halting.waves[0].updates.empty() &&
+                  halting.waves[0].updates[0].result == UpdateResult::kBadMac,
+              "forged canary not refused kBadMac");
     // Later waves stayed on their old builds; the hold never moved.
     for (size_t i = kCanaries; i < devices; ++i) {
-      if (fleet.at(device_id(i)).shared_build().get() == target.get()) {
-        row.gates_ok = false;
-      }
+      run.check(fleet.at(device_id(i)).shared_build().get() != target.get(),
+                "device moved after the halt");
     }
   }
-  return row;
+  return reports;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bool smoke = smoke_mode(argc, argv);
   const size_t devices = smoke ? 64 : 256;
-  const size_t kThreadCounts[] = {1, 2, 4, 8};
-
-  std::vector<RowResult> rows;
-  for (size_t threads : kThreadCounts) {
-    rows.push_back(run_row(threads, devices));
-  }
-  const RowResult& base = rows[0];
+  const int rounds = 2;
+  PoolSweep pools;
+  Cells<std::pair<RolloutReport, RolloutReport>> cells;
+  add_pool_rows(cells, pools, [devices](CellRun& run, common::ThreadPool& pool) {
+    return run_row(run, devices, pool);
+  });
+  cells.run(rounds);
 
   std::printf("Staged rollout (%s): %zu devices, 4-wave canary plan, "
-              "%zu-device A/B hold, attestation gate per wave\n",
-              smoke ? "smoke" : "full", devices, kHeld);
-  std::printf("%7s | %12s | %14s | %11s | %8s\n", "threads", "clean ms",
-              "halting ms", "devices/sec", "speedup");
-  bool ok = true;
-  for (const RowResult& row : rows) {
-    std::printf("%7zu | %12.2f | %14.2f | %11.0f | %7.2fx\n", row.threads,
-                row.clean_ms, row.halting_ms,
-                row.clean_ms > 0 ? 1000.0 * static_cast<double>(
-                                       row.devices - kHeld) / row.clean_ms
-                                 : 0.0,
-                row.clean_ms > 0 ? base.clean_ms / row.clean_ms : 0.0);
-    if (!row.gates_ok) {
-      std::printf("  !! threads=%zu: correctness gate failed\n", row.threads);
-      ok = false;
-    }
-    if (!(row.clean == base.clean) || !(row.halting == base.halting)) {
-      std::printf("  !! threads=%zu: reports diverge from the serial row\n",
-                  row.threads);
-      ok = false;
-    }
+              "%zu-device A/B hold, attestation gate per wave, %d rounds\n",
+              smoke ? "smoke" : "full", devices, kHeld, rounds);
+  for (size_t row = 0; row < pools.size(); ++row) {
+    print_cell(cells, 0, row, {"clean", "halting"}, "clean");
   }
-  std::printf("reports: %zu waves per plan, bit-identical across all "
-              "thread counts\n", base.clean.waves.size());
+  std::printf("reports: %zu waves per plan, bit-identical across all pool "
+              "sizes\n",
+              cells.result(0).first.waves.size());
+
+  const bool ok = cells.ok();
   std::printf("%s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

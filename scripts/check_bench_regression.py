@@ -1,25 +1,38 @@
 #!/usr/bin/env python3
 """Bench perf-regression gate.
 
-Compares a freshly emitted bench JSON (BENCH_sim_throughput.json /
-BENCH_fleet_health.json) against the committed baseline and fails when
-any speedup column regressed by more than the tolerance (default 20%).
+Compares a freshly emitted bench JSON (BENCH_sim_throughput.json,
+BENCH_fleet_health.json, BENCH_ota_transport.json, BENCH_fleet_10k.json)
+against the committed baseline and fails when any gated column
+regressed.
 
-Two column families are gated, in opposite directions:
+Three column families are gated:
 
-- ``speedup*`` ratios must not *drop* by more than the tolerance.
-  Only ratios, never absolute MIPS or verdict rates: a ratio
-  (superblock-vs-interpretive, pooled-vs-serial) divides out the
+- ``speedup*`` ratios must not *drop* by more than the tolerance
+  (default 20%). Only ratios, never absolute MIPS or verdict rates: a
+  ratio (superblock-vs-interpretive, pooled-vs-serial) divides out the
   host's raw speed, so the gate is meaningful on CI hardware that is
   faster or slower than the machine that produced the committed
-  baseline. Other absolute perf numbers stay visible in the uploaded
-  artifacts for human eyes.
+  baseline. The benches (bench/bench_util.h) write each gated ratio as
+  the median over repeated rounds of a ratio of CPU times taken inside
+  one round, and only for one-thread cells. A pooled row's serial CPU /
+  pooled CPU ratio is written as ``cpu_speedup*`` and its wall ratio
+  as ``wall_*``; this gate reads neither (a pooled row is gated on its
+  ``count_*`` columns). Other absolute perf numbers stay visible in the
+  uploaded artifacts for human eyes.
 - ``resident_*`` byte counts must not *grow* by more than the
   tolerance. Unlike wall-clock numbers these ARE host-independent --
   they count deterministic data-structure bytes (copy-on-write pages,
   page tables, log arenas), so an absolute comparison is exact and a
   growth regression is a real memory-diet regression
   (bench_fleet_10k's resident_bytes_per_device).
+- ``count_*`` work counters must *equal* the baseline exactly. They
+  count deterministic work (instructions, blocks and dispatches at a
+  fixed cycle budget, verdict edges, convictions, bytes shipped and
+  retransmitted): same seed, same counts, on any host and any pool
+  size. They cannot be noisy, so any difference is a behaviour change
+  and fails -- it doubles as a determinism oracle. A deliberate change
+  re-baselines.
 
 Each row's absolute ``*_ms`` columns are printed next to its ratios,
 for information only (never gated): a ratio can fall because its
@@ -30,7 +43,9 @@ A fresh run is compared only with baseline rows recorded in the same
 (a smoke run is shorter, so its ratios read differently), and gating
 one against the other is meaningless. A baseline document holds its
 full-mode rows at the top level and may carry a ``smoke`` key holding
-the document a ``--smoke`` run wrote, verbatim. A fresh run whose mode
+the document a ``--smoke`` run wrote (the committed baselines hold
+the per-column median of several runs, with ``baseline_runs`` saying
+how many). A fresh run whose mode
 the baseline has no rows for is treated like a missing baseline
 (exit 2). Within the chosen block, rows are matched by identity key
 (``policy`` for the sim bench, ``threads`` for the fleet bench). A row or speedup column present in
@@ -38,6 +53,14 @@ the baseline but missing from the fresh run fails the gate (a silently
 dropped measurement is how regressions hide); a *new* column with no
 baseline is noted and passes. The fresh run's own ``ok`` differential
 gate must also be true.
+
+Pool sizes follow the host: the benches sweep {1, 2, 4} threads capped
+at the host's hardware threads and record the cap as ``pool_cap``. A
+baseline row whose ``threads`` exceeds the fresh run's ``pool_cap`` is
+skipped with a note (this host cannot run it), and a row whose
+``threads`` differs from its baseline's (bench_fleet_10k's
+``windowed-pooled``, which runs on the largest pool) keeps its
+``count_*`` and ``resident_*`` gates but not its ratios.
 
 Usage:
     check_bench_regression.py FRESH BASELINE [--tolerance 0.20]
@@ -80,6 +103,15 @@ def resident_columns(row):
         k: v
         for k, v in row.items()
         if k.startswith("resident_") and isinstance(v, (int, float))
+    }
+
+
+def count_columns(row):
+    """Deterministic work counters: gated for exact equality."""
+    return {
+        k: v
+        for k, v in row.items()
+        if k.startswith("count_") and isinstance(v, (int, float))
     }
 
 
@@ -161,11 +193,25 @@ def main():
         failures.append("fresh run's own differential gate reported ok=false")
 
     fresh_rows = rows_of(fresh)
+    pool_cap = fresh.get("pool_cap")
     for rk, base_row in rows_of(baseline).items():
+        threads = base_row.get("threads")
         fresh_row = fresh_rows.get(rk)
+        if (fresh_row is None and isinstance(pool_cap, int)
+                and isinstance(threads, int) and threads > pool_cap):
+            print(f"note  {rk:<24} skipped: baseline row needs {threads} "
+                  f"threads, this host's pool cap is {pool_cap}")
+            continue
         if fresh_row is None:
             failures.append(f"{rk}: row present in baseline, missing from fresh run")
             continue
+        # A row run on another pool size than its baseline (the host's
+        # cap differs) keeps its count and resident gates, which do not
+        # depend on the pool; its ratios are not comparable.
+        same_pool = threads is None or fresh_row.get("threads") == threads
+        if not same_pool:
+            print(f"note  {rk:<24} ratios not gated: baseline ran on "
+                  f"{threads} threads, fresh run on {fresh_row.get('threads')}")
         fresh_ms = ms_columns(fresh_row)
         for col, base_val in ms_columns(base_row).items():
             fresh_val = fresh_ms.get(col)
@@ -176,7 +222,7 @@ def main():
             )
         fresh_cols = speedup_columns(fresh_row)
         for col, base_val in speedup_columns(base_row).items():
-            if base_val <= 0:
+            if base_val <= 0 or not same_pool:
                 continue
             fresh_val = fresh_cols.get(col)
             if fresh_val is None:
@@ -220,6 +266,24 @@ def main():
         for col in fresh_mem.keys() - resident_columns(base_row).keys():
             print(f"note  {rk:<24} {col:<20} new column, no baseline")
 
+        fresh_counts = count_columns(fresh_row)
+        for col, base_val in count_columns(base_row).items():
+            fresh_val = fresh_counts.get(col)
+            if fresh_val is None:
+                failures.append(f"{rk}: column {col} dropped from fresh run")
+                continue
+            verdict = "ok" if fresh_val == base_val else "FAIL"
+            print(
+                f"{verdict:>4}  {rk:<24} {col:<20} "
+                f"baseline {base_val:10}   fresh {fresh_val:10}"
+            )
+            if fresh_val != base_val:
+                failures.append(
+                    f"{rk}: {col} changed ({base_val} -> {fresh_val})"
+                )
+        for col in fresh_counts.keys() - count_columns(base_row).keys():
+            print(f"note  {rk:<24} {col:<20} new column, no baseline")
+
     # Rows the fresh run has but the baseline lacks are not a failure
     # (a new measurement is arriving, the mirror of the new-column
     # case) -- but they must not pass *silently*, or the new rows never
@@ -233,12 +297,12 @@ def main():
 
     if failures:
         print(f"\nFAIL: {len(failures)} regression(s) beyond "
-              f"{args.tolerance:.0%} tolerance:")
+              f"{args.tolerance:.0%} tolerance or changed count(s):")
         for failure in failures:
             print(f"  - {failure}")
         return 1
     print("\nPASS: no speedup or resident-memory regression beyond "
-          f"{args.tolerance:.0%} tolerance")
+          f"{args.tolerance:.0%} tolerance, every count unchanged")
     return 0
 
 

@@ -4,8 +4,10 @@
 Runs the gate the way CI does (``check_bench_regression.py FRESH
 BASELINE``) on small synthetic bench documents and checks that each
 row's absolute ``*_ms`` columns are printed beside its ratios, that the
-printout changes neither the verdict nor the exit status, and that a
-fresh run is compared only with baseline rows of its own mode.
+printout changes neither the verdict nor the exit status, that a
+fresh run is compared only with baseline rows of its own mode, that
+``count_*`` columns must equal the baseline exactly, and that rows are
+matched to the host's pool cap.
 
 Usage:
     python3 scripts/test_check_bench_regression.py
@@ -150,6 +152,106 @@ class ModeMatching(unittest.TestCase):
         self.assertEqual(code, 2, out)
         self.assertIn("no rows of mode 'smoke'", out)
         self.assertNotIn("PASS", out)
+
+
+COUNT_BASELINE = bench([
+    {"threads": 1, "speedup": 1.0, "count_verdicts": 4480, "count_edges": 98732},
+    {"threads": 4, "speedup": 0.8, "count_verdicts": 4480, "count_edges": 98732},
+])
+
+
+def with_counts(verdicts, edges=98732, drop=None):
+    rows = [
+        {"threads": 1, "speedup": 1.0, "count_verdicts": verdicts,
+         "count_edges": edges},
+        {"threads": 4, "speedup": 0.8, "count_verdicts": verdicts,
+         "count_edges": edges},
+    ]
+    for row in rows:
+        row.pop(drop, None)
+    return bench(rows)
+
+
+class CountColumns(unittest.TestCase):
+    def test_equal_counts_pass(self):
+        code, out = run_gate(with_counts(4480), COUNT_BASELINE)
+        self.assertEqual(code, 0, out)
+        self.assertIsNotNone(line_with(out, "ok", "threads=4", "count_edges"), out)
+        self.assertIn("PASS", out)
+
+    def test_off_by_one_count_fails(self):
+        code, out = run_gate(with_counts(4481), COUNT_BASELINE)
+        self.assertEqual(code, 1, out)
+        self.assertIsNotNone(
+            line_with(out, "FAIL", "threads=1", "count_verdicts"), out)
+        self.assertIn("count_verdicts changed (4480 -> 4481)", out)
+
+    def test_a_lower_count_fails_too(self):
+        code, out = run_gate(with_counts(4480, edges=98731), COUNT_BASELINE)
+        self.assertEqual(code, 1, out)
+        self.assertIsNotNone(line_with(out, "FAIL", "count_edges"), out)
+
+    def test_missing_count_column_fails(self):
+        code, out = run_gate(with_counts(4480, drop="count_edges"),
+                             COUNT_BASELINE)
+        self.assertEqual(code, 1, out)
+        self.assertIn("column count_edges dropped from fresh run", out)
+
+
+
+POOL_BASELINE = dict(bench([
+    {"threads": 1, "speedup": 1.0, "count_verdicts": 4480},
+    {"threads": 2, "speedup": 0.6, "count_verdicts": 4480},
+    {"threads": 4, "speedup": 0.4, "count_verdicts": 4480},
+]), pool_cap=4)
+
+
+def pooled_variant(threads, speedup, edges, pool_cap):
+    return dict(bench([
+        {"policy": "barrier", "threads": 1, "speedup_vs_barrier": 1.0,
+         "count_edges": 98732},
+        {"policy": "windowed-pooled", "threads": threads,
+         "speedup_vs_barrier": speedup, "count_edges": edges},
+    ]), pool_cap=pool_cap)
+
+
+class PoolCap(unittest.TestCase):
+    def test_rows_above_the_fresh_pool_cap_are_skipped(self):
+        fresh = dict(bench([
+            {"threads": 1, "speedup": 1.0, "count_verdicts": 4480},
+            {"threads": 2, "speedup": 0.6, "count_verdicts": 4480},
+        ]), pool_cap=2)
+        code, out = run_gate(fresh, POOL_BASELINE)
+        self.assertEqual(code, 0, out)
+        self.assertIsNotNone(line_with(out, "note", "threads=4", "skipped"), out)
+
+    def test_a_row_within_the_cap_still_may_not_go_missing(self):
+        fresh = dict(bench([
+            {"threads": 1, "speedup": 1.0, "count_verdicts": 4480},
+            {"threads": 2, "speedup": 0.6, "count_verdicts": 4480},
+        ]), pool_cap=4)
+        code, out = run_gate(fresh, POOL_BASELINE)
+        self.assertEqual(code, 1, out)
+        self.assertIn("threads=4: row present in baseline, missing", out)
+
+    def test_a_row_on_another_pool_size_keeps_only_its_count_gates(self):
+        baseline = pooled_variant(4, 0.5, 98732, 4)
+        code, out = run_gate(pooled_variant(2, 0.1, 98732, 2), baseline)
+        self.assertEqual(code, 0, out)
+        self.assertIsNotNone(
+            line_with(out, "note", "windowed-pooled", "ratios not gated"), out)
+        self.assertIsNotNone(
+            line_with(out, "ok", "windowed-pooled", "count_edges"), out)
+        code, out = run_gate(pooled_variant(2, 0.5, 98733, 2), baseline)
+        self.assertEqual(code, 1, out)
+        self.assertIn("count_edges changed (98732 -> 98733)", out)
+
+    def test_a_row_on_the_same_pool_size_is_gated_on_its_ratio(self):
+        code, out = run_gate(pooled_variant(4, 0.1, 98732, 4),
+                             pooled_variant(4, 0.5, 98732, 4))
+        self.assertEqual(code, 1, out)
+        self.assertIsNotNone(
+            line_with(out, "FAIL", "windowed-pooled", "speedup_vs_barrier"), out)
 
 
 if __name__ == "__main__":

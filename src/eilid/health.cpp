@@ -179,9 +179,7 @@ std::string_view quarantine_reason_name(QuarantineReason reason) {
 
 QuarantineReason assess(const FreshnessRecord& record, Tick now,
                         const HealthPolicy& policy) {
-  if (policy.quarantine_convicted && record.convicted) {
-    return QuarantineReason::kConvicted;
-  }
+  if (record.convicted) return QuarantineReason::kConvicted;
   // Staleness is measured from the last *clean* verdict -- evidence
   // that keeps arriving but never verifies is exactly as stale as
   // silence. A device that has never verified clean ages from its

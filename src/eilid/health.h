@@ -200,8 +200,6 @@ struct HealthPolicy {
   // A device whose last clean verdict (or enrollment, if it never had
   // one) is more than this many ticks old is quarantined as stale.
   Tick staleness_threshold = 300;
-  // Quarantine on a convicting verdict (not just on silence).
-  bool quarantine_convicted = true;
   // Lifetime cap on automated remediation attempts per device; once a
   // device has burned this many failed attempts it escalates to the
   // terminal kEscalated state instead of being remediated again. The

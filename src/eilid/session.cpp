@@ -224,30 +224,19 @@ size_t DeviceSession::resident_memory_bytes() const {
 }
 
 void DeviceSession::power_cycle() {
-  // Mirrors Machine::do_reset minus the ResetEvent record: recording
-  // one would count a host-driven power cycle as an enforcement
-  // violation in violation_count().
-  machine_.bus().wipe_volatile();
-  machine_.bus().reset_peripherals();
-  machine_.bus().clear_access_denied();
-  if (hw_monitor_ != nullptr) {
-    hw_monitor_->clear_violation();
-    hw_monitor_->on_device_reset();
-  }
-  if (cfa_monitor_ != nullptr) {
-    cfa_monitor_->clear_violation();
-    cfa_monitor_->on_device_reset();
-  }
-  // The bootloader half of a power-loss-safe update runs before
-  // application code: a commit journal left pending by a supply
-  // failure mid-swap is idempotently replayed to completion now, and
-  // the finished swap is logged as an update marker (after the reset
-  // marker this reboot just logged -- the verifier's replay handles
-  // the markers in log order either way).
-  if (update_engine_->recover_after_reset() && cfa_monitor_ != nullptr) {
-    cfa_monitor_->on_update_applied();
-  }
-  machine_.cpu().power_on_reset();
+  // Machine::power_cycle records no ResetEvent: one would count a
+  // host-driven power cycle as an enforcement violation in
+  // violation_count(). The bootloader half of a power-loss-safe update
+  // runs before application code: a commit journal left pending by a
+  // supply failure mid-swap is idempotently replayed to completion,
+  // and the finished swap is logged as an update marker (after the
+  // reset marker this reboot just logged -- the verifier's replay
+  // handles the markers in log order either way).
+  machine_.power_cycle([this] {
+    if (update_engine_->recover_after_reset() && cfa_monitor_ != nullptr) {
+      cfa_monitor_->on_update_applied();
+    }
+  });
 }
 
 }  // namespace eilid

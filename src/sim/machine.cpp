@@ -57,10 +57,9 @@ std::optional<ResetReason> Machine::first_pending_violation() const {
   return std::nullopt;
 }
 
-void Machine::do_reset(ResetReason reason, uint16_t pc) {
-  // Pre-violation time already passed; deliver it before the wipe.
+void Machine::power_cycle(const std::function<void()>& boot) {
+  // Time before the reset already passed; deliver it before the wipe.
   bus_.flush_ticks();
-  resets_.push_back({cycles_, pc, reason});
   bus_.wipe_volatile();
   bus_.reset_peripherals();
   bus_.clear_access_denied();
@@ -68,7 +67,13 @@ void Machine::do_reset(ResetReason reason, uint16_t pc) {
     m->clear_violation();
     m->on_device_reset();
   }
+  if (boot) boot();
   cpu_.power_on_reset();
+}
+
+void Machine::do_reset(ResetReason reason, uint16_t pc) {
+  resets_.push_back({cycles_, pc, reason});
+  power_cycle();
   cycles_ += 4;  // brown-out / reset latency
   reset_this_step_ = true;
 }

@@ -16,6 +16,7 @@
 #define EILID_SIM_MACHINE_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -76,6 +77,15 @@ class Machine {
 
   // Power-on: reset CPU from the vector table, notify monitors.
   void power_on();
+
+  // The reset every reset shares: outstanding peripheral time is
+  // delivered, volatile memory wiped, peripherals and the access-denied
+  // latch reset, every monitor's violation cleared and its
+  // on_device_reset() called, then `boot` runs (the bootloader stage)
+  // and the CPU loads its reset vector. A host-driven power cycle calls
+  // it directly: it records no ResetEvent and adds no reset latency,
+  // which only an enforcement reset does.
+  void power_cycle(const std::function<void()>& boot = {});
 
   // Execute until a stop condition. Breakpoints pause *before* the
   // instruction at the breakpoint address executes.

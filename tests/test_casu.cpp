@@ -368,6 +368,74 @@ TEST(CasuPages, FetchRegionsReportOnlyCrossingsWithTheTruePredecessor) {
             (std::pair<uint16_t, std::optional<uint16_t>>{0xE006, 0x0302}));
 }
 
+// Every peripheral register, read straight from the peripherals (no
+// bus flush, no watcher).
+std::vector<uint16_t> peripheral_registers(sim::Machine& m) {
+  std::vector<uint16_t> regs;
+  sim::Peripheral* peripherals[] = {&m.timer(), &m.adc(), &m.port1(),
+                                    &m.uart()};
+  for (sim::Peripheral* p : peripherals) {
+    for (uint32_t a = p->first_addr(); a <= p->last_addr(); a += 2) {
+      regs.push_back(p->read(static_cast<uint16_t>(a)));
+    }
+  }
+  return regs;
+}
+
+// A host power cycle leaves exactly the reset-visible state an
+// enforcement reset leaves -- tick debt settled, peripherals reset,
+// access-denied and monitor violations cleared, the next fetch without
+// a predecessor -- but records no ResetEvent.
+TEST(SessionReset, PowerCycleLeavesWhatAnEnforcementResetLeaves) {
+  auto build = std::make_shared<const core::BuildResult>(core::build_app(
+      ".org 0xe000\nmain:\n    mov #0x1000, r1\nhalt:\n    jmp halt\n"
+      ".vector 15, main\n.end\n",
+      "app"));
+  DeviceSession enforced("enforced", build, EnforcementPolicy::kCasu);
+  DeviceSession cycled("cycled", build, EnforcementPolicy::kCasu);
+  CountingWatcher enforced_fetches(sim::WatchPages::all());
+  CountingWatcher cycled_fetches(sim::WatchPages::all());
+  enforced.machine().bus().add_watcher(&enforced_fetches);
+  cycled.machine().bus().add_watcher(&cycled_fetches);
+  for (DeviceSession* dev : {&enforced, &cycled}) {
+    dev->run_to_symbol("halt", 1000);
+    sim::Machine& m = dev->machine();
+    m.timer().write(sim::mmio::kTimerCtl, 0x0001);  // running
+    m.bus().accrue_ticks(7);
+    // An app-context PMEM store: CASU denies it and latches.
+    m.bus().write_word(0xE000, 0x1234, dev->symbol("halt"));
+    ASSERT_TRUE(m.bus().access_denied());
+    ASSERT_TRUE(dev->hw_monitor()->pending_violation().has_value());
+  }
+  const size_t resets_before = cycled.machine().resets().size();
+  enforced.machine().run(1);  // the next step takes the enforcement reset
+  cycled.power_cycle();
+  EXPECT_EQ(enforced.machine().resets().size(), resets_before + 1);
+  EXPECT_EQ(cycled.machine().resets().size(), resets_before);
+
+  for (DeviceSession* dev : {&enforced, &cycled}) {
+    sim::Machine& m = dev->machine();
+    EXPECT_EQ(m.bus().tick_debt(), 0u) << dev->id();
+    EXPECT_FALSE(m.bus().access_denied()) << dev->id();
+    EXPECT_FALSE(dev->hw_monitor()->pending_violation().has_value())
+        << dev->id();
+    EXPECT_EQ(m.cpu().pc(), dev->symbol("main")) << dev->id();
+  }
+  EXPECT_EQ(peripheral_registers(enforced.machine()),
+            peripheral_registers(cycled.machine()));
+
+  enforced_fetches.log.clear();
+  cycled_fetches.log.clear();
+  enforced.machine().run(1);
+  cycled.machine().run(1);
+  ASSERT_FALSE(enforced_fetches.log.empty());
+  ASSERT_FALSE(cycled_fetches.log.empty());
+  EXPECT_EQ(enforced_fetches.log.front(),
+            (std::pair<uint16_t, std::optional<uint16_t>>{
+                enforced.symbol("main"), std::nullopt}));
+  EXPECT_EQ(cycled_fetches.log.front(), enforced_fetches.log.front());
+}
+
 class UpdateTest : public ::testing::Test {
  protected:
   void SetUp() override {
